@@ -3,16 +3,16 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
-import repro.dists.DomainEval
 
 /** Candidate quality assessment over a corpus (paper Sec 5.2).
   *
   * For every candidate r we compute the Table 2 contingency table
   * (covered × triggered over corpus columns) in one distributed pass:
-  * each partition walks its columns, computes per-evaluator distance
-  * histograms at the grid bin edges, derives (covered, triggered) for every
-  * candidate of that evaluator from cumulative counts, and accumulates a
-  * flat count array; partials are combined with treeReduce.
+  * each partition walks its columns, profiles each evaluator's distances at
+  * its grid edges ([[ColumnProfile]]), derives (covered, triggered) for every
+  * candidate of that evaluator, and accumulates a flat count array; partials
+  * are combined with treeReduce. An empty column covers nothing and
+  * triggers nothing, so it counts as ncnt and the four cells sum to |C|.
   *
   * The driver then applies the statistical gates — Cohen's h effect size,
   * chi-squared significance, Appendix B.1 coverage pruning — and calibrates
@@ -86,26 +86,15 @@ object Assessment {
   /** Update the flat count array with one column's contribution. */
   private[core] def accumulateColumn(values: Seq[String], plans: IndexedSeq[EvalPlan],
                                      counts: Array[Long]): Unit = {
-    val n = values.length
-    if (n == 0) return
     val arr = values.toArray
     plans.foreach { plan =>
-      val dists = distancesOf(plan.eval, arr)
-      val prefix = CandidateGen.prefixCounts(CandidateGen.histogram(dists, plan.thresholds))
+      val profile = ColumnProfile(plan.eval, arr, plan.thresholds)
       plan.candidates.foreach { c =>
-        val covered   = prefix(c.dInIdx).toDouble / n >= c.m
-        val triggered = n - prefix(c.dOutIdx) >= 1
-        val slot = c.idx * 4 + (if (covered) 0 else 2) + (if (triggered) 0 else 1)
+        val slot = c.idx * 4 + (if (profile.covers(c.dInIdx, c.m)) 0 else 2) +
+          (if (profile.triggers(c.dOutIdx)) 0 else 1)
         counts(slot) += 1
       }
     }
-  }
-
-  private[core] def distancesOf(eval: DomainEval, values: Array[String]): Array[Double] = {
-    val out = new Array[Double](values.length)
-    var i = 0
-    while (i < values.length) { out(i) = eval.distance(values(i)); i += 1 }
-    out
   }
 
   /** Apply the Sec 5.2 statistical gates and calibrate confidence. */

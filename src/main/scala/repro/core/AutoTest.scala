@@ -98,11 +98,12 @@ object AutoTest {
   }
 
   /** Sample centroid values: one random value from each of `n` random
-    * columns (paper Sec 5.1 "randomly sample 1000 values as centroids").
+    * non-empty columns (paper Sec 5.1 "randomly sample 1000 values as
+    * centroids").
     */
   def sampleCentroids(corpus: Seq[TableColumn], n: Int, seed: Long): Seq[String] = {
-    val cols = corpus.toIndexedSeq
-    (0 until n * 2).iterator
+    val cols = corpus.toIndexedSeq.filter(_.values.nonEmpty)
+    (0 until (if (cols.isEmpty) 0 else n * 2)).iterator
       .map { i =>
         val s = Det.combine(seed, 0xce7L, i.toLong)
         val col = cols(Det.nextInt(Det.combine(s, 1), cols.size))

@@ -36,8 +36,8 @@ object CandidateGen {
     case other => throw new IllegalArgumentException(s"unknown family $other")
   }
 
-  /** Sorted distinct thresholds for one evaluator — the histogram bin edges
-    * used by the assessment pass (DESIGN §5 "histogram trick").
+  /** Sorted distinct thresholds for one evaluator — the edges at which
+    * [[ColumnProfile]] counts a column's distances (DESIGN §5).
     */
   def thresholds(eval: DomainEval): Array[Double] = {
     val g = gridFor(eval)
@@ -83,31 +83,4 @@ object CandidateGen {
   }
 
   def totalCandidates(plans: Seq[EvalPlan]): Int = plans.iterator.map(_.candidates.size).sum
-
-  /** Histogram of one column's distances under bin edges `ts`:
-    * bucket i (< ts.length) counts distances d with
-    * ts(i-1) < d <= ts(i); the last bucket counts d > ts.last.
-    * Prefix sums over buckets give cntLE(ts(i)) exactly.
-    */
-  def histogram(dists: Array[Double], ts: Array[Double]): Array[Int] = {
-    val h = new Array[Int](ts.length + 1)
-    var i = 0
-    while (i < dists.length) {
-      val d = dists(i)
-      var b = 0
-      while (b < ts.length && d > ts(b)) b += 1
-      h(b) += 1
-      i += 1
-    }
-    h
-  }
-
-  /** In-place prefix sums: out(i) = #values <= ts(i). */
-  def prefixCounts(hist: Array[Int]): Array[Int] = {
-    val p = new Array[Int](hist.length)
-    var acc = 0
-    var i = 0
-    while (i < hist.length) { acc += hist(i); p(i) = acc; i += 1 }
-    p
-  }
 }

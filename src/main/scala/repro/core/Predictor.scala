@@ -17,60 +17,57 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends Serializable {
 
-  /** evaluator -> pre-condition groups -> member SDCs */
-  private val byEval: IndexedSeq[(DomainEval, IndexedSeq[((Double, Double), IndexedSeq[Sdc])])] =
+  /** evaluator -> its sorted distinct d_in edges -> pre-condition groups
+    * (d_in edge index, m) -> member SDCs
+    */
+  private val byEval: IndexedSeq[(DomainEval, Array[Double], IndexedSeq[(Int, Double, IndexedSeq[Sdc])])] =
     sdcs.groupBy(_.evalId).toIndexedSeq.sortBy(_._1).map { case (evalId, ss) =>
       val eval = registry.byId.getOrElse(evalId,
         throw new IllegalArgumentException(s"model references unknown evaluator $evalId"))
-      val groups = ss.groupBy(s => (s.dIn, s.m)).toIndexedSeq.sortBy(_._1)
-      (eval, groups)
+      val edges = ss.map(_.dIn).distinct.sorted.toArray
+      val groups = ss.groupBy(s => (s.dIn, s.m)).toIndexedSeq.sortBy(_._1).map {
+        case ((dIn, m), members) => (edges.indexOf(dIn), m, members)
+      }
+      (eval, edges, groups)
     }
 
   def size: Int = sdcs.size
 
   /** Distinct pre-conditions after dedup (latency driver, Appendix B.2). */
-  def nPreConditions: Int = byEval.iterator.map(_._2.size).sum
+  def nPreConditions: Int = byEval.iterator.map(_._3.size).sum
+
+  /** Calls `f` with each group of SDCs whose shared pre-condition holds on
+    * the column, together with that evaluator's profile of the column.
+    */
+  private def foreachCovered(values: Array[String])(f: (ColumnProfile, IndexedSeq[Sdc]) => Unit): Unit =
+    byEval.foreach { case (eval, edges, groups) =>
+      val profile = ColumnProfile(eval, values, edges)
+      groups.foreach { case (edge, m, members) => if (profile.covers(edge, m)) f(profile, members) }
+    }
 
   /** SDCs whose pre-condition holds on the column (the "covered by" relation
     * of Sec 5.2 — used for Table 9's column-level coverage reporting).
     */
   def coveringSdcs(values: Seq[String]): IndexedSeq[Sdc] = {
-    if (values.isEmpty) return IndexedSeq.empty
-    val arr = values.toArray
-    val n = arr.length
     val out = IndexedSeq.newBuilder[Sdc]
-    byEval.foreach { case (eval, groups) =>
-      val dists = Assessment.distancesOf(eval, arr)
-      groups.foreach { case ((dIn, m), members) =>
-        if (dists.count(_ <= dIn).toDouble / n >= m) out ++= members
-      }
-    }
+    foreachCovered(values.toArray)((_, members) => out ++= members)
     out.result()
   }
 
   /** Predict errors in one column: flagged value -> max confidence. */
   def predictColumn(values: Seq[String]): Map[String, Double] = {
-    if (values.isEmpty) return Map.empty
     val arr = values.toArray
-    val n = arr.length
     val acc = scala.collection.mutable.Map.empty[String, Double]
-    byEval.foreach { case (eval, groups) =>
-      val dists = Assessment.distancesOf(eval, arr)
-      groups.foreach { case ((dIn, m), members) =>
-        var inInner = 0
-        var i = 0
-        while (i < n) { if (dists(i) <= dIn) inInner += 1; i += 1 }
-        if (inInner.toDouble / n >= m) {
-          members.foreach { s =>
-            var j = 0
-            while (j < n) {
-              if (dists(j) > s.dOut) {
-                val v = arr(j)
-                if (acc.getOrElse(v, -1.0) < s.confidence) acc(v) = s.confidence
-              }
-              j += 1
-            }
+    foreachCovered(arr) { (profile, members) =>
+      val dists = profile.dists
+      members.foreach { s =>
+        var j = 0
+        while (j < arr.length) {
+          if (dists(j) > s.dOut) {
+            val v = arr(j)
+            if (acc.getOrElse(v, -1.0) < s.confidence) acc(v) = s.confidence
           }
+          j += 1
         }
       }
     }

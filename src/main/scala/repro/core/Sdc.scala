@@ -1,13 +1,11 @@
 package repro.core
 
-import repro.dists.DomainEval
-
 /** A Semantic-Domain Constraint (paper Definition 2): pre-condition
   * `>= m of column values have f_t(v) <= dIn`, post-condition `values with
   * f_t(v) > dOut are errors`, with calibrated confidence.
   *
-  * The evaluator is referenced by id; [[BoundSdc]] pairs the parameters with
-  * the resolved [[DomainEval]] for execution.
+  * The evaluator is referenced by id; [[SdcModel]] resolves it and
+  * evaluates the conditions through [[ColumnProfile]].
   */
 final case class Sdc(
     evalId: String,
@@ -21,25 +19,4 @@ final case class Sdc(
 
   /** Key identifying the pre-condition (Appendix B.2 dedup). */
   def preKey: (String, Double, Double) = (evalId, dIn, m)
-}
-
-/** An SDC bound to its domain-evaluation function. */
-final class BoundSdc(val sdc: Sdc, val eval: DomainEval) extends Serializable {
-
-  /** Pre-condition P over the column's distance multiset. */
-  def covers(dists: Array[Double]): Boolean =
-    dists.nonEmpty && dists.count(_ <= sdc.dIn).toDouble / dists.length >= sdc.m
-
-  /** Post-condition S: indices of values beyond the outer ball. */
-  def errorIndices(dists: Array[Double]): Seq[Int] =
-    dists.indices.filter(i => dists(i) > sdc.dOut)
-
-  /** Full evaluation on a column: detected error values (empty when the
-    * pre-condition fails).
-    */
-  def apply(values: Seq[String]): Seq[String] = {
-    val dists = values.map(eval.distance).toArray
-    if (!covers(dists)) Seq.empty
-    else errorIndices(dists).map(values)
-  }
 }

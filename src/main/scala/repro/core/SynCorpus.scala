@@ -46,10 +46,9 @@ object SynCorpus {
 
   /** Distributed D(r): (synId, candIdx) detection pairs.
     *
-    * Per synthetic column and evaluator, the base column's distance
-    * histogram plus the error value's distance decide every candidate of
-    * that evaluator at once (pre-condition over n+1 values, post-condition
-    * on v^e alone).
+    * Per synthetic column and evaluator, one [[ColumnProfile]] of
+    * C(v^e) = base values + v^e decides every candidate of that evaluator
+    * at once: pre-condition over the n+1 values, post-condition on v^e.
     */
   def detections(spark: SparkSession, syn: Seq[SynColumn],
                  plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
@@ -57,21 +56,13 @@ object SynCorpus {
     val rdd = spark.sparkContext.parallelize(syn,
       math.max(1, math.min(64, syn.size / 16)))
     rdd.flatMap { sc =>
-      val ps = bcPlans.value
       val hits = IndexedSeq.newBuilder[(Int, Int)]
-      val arr = sc.baseValues.toArray
-      val n1 = arr.length + 1
-      ps.foreach { plan =>
-        val dErr = plan.eval.distance(sc.errValue)
-        // Skip evaluators that cannot possibly detect v^e: no candidate of
-        // this evaluator has d_out < dErr below the smallest grid d_out.
-        val prefix = CandidateGen.prefixCounts(
-          CandidateGen.histogram(Assessment.distancesOf(plan.eval, arr), plan.thresholds))
+      val arr = (sc.baseValues :+ sc.errValue).toArray
+      bcPlans.value.foreach { plan =>
+        val profile = ColumnProfile(plan.eval, arr, plan.thresholds)
+        val dErr = profile.dists.last
         plan.candidates.foreach { c =>
-          if (dErr > c.dOut) {
-            val inInner = prefix(c.dInIdx) + (if (dErr <= c.dIn) 1 else 0)
-            if (inInner.toDouble / n1 >= c.m) hits += ((sc.synId, c.idx))
-          }
+          if (dErr > c.dOut && profile.covers(c.dInIdx, c.m)) hits += ((sc.synId, c.idx))
         }
       }
       hits.result()

@@ -14,7 +14,7 @@ import repro.util.Det
   *
   *   REPRO_CORPUS_COLS  training-corpus columns per corpus (default 3000)
   *   REPRO_BENCH_COLS   benchmark columns per bench (default 1200, as paper)
-  *   REPRO_NSYN         |C_syn| (default 1500)
+  *   REPRO_NSYN         |C_syn| (default 2500)
   *
   * Heavy artefacts (corpora, trained models, benchmark variants) are
   * memoised so the bench suites, which run sequentially in one JVM, share

@@ -14,13 +14,15 @@ package repro.lp
   */
 object Simplex {
 
-  final case class Result(objective: Double, x: Array[Double], iterations: Int, optimal: Boolean)
+  final case class Result(objective: Double, x: Array[Double], iterations: Int)
 
   private val Eps = 1e-9
 
   /** @param c objective coefficients (length n)
     * @param rows constraint rows: sparse (index, coeff) lists
     * @param b right-hand sides (length m, all >= 0)
+    * @throws IllegalStateException when the LP is unbounded or an optimum
+    *         needs more than `maxIter` pivots
     */
   def maximize(c: Array[Double], rows: Array[Array[(Int, Double)]], b: Array[Double],
                maxIter: Int = 200000): Result = {
@@ -46,7 +48,7 @@ object Simplex {
     var optimal = false
     val blandAfter = math.max(2000, 4 * (n + m))
 
-    while (iter < maxIter && !optimal) {
+    while (!optimal) {
       // Entering column.
       var enter = -1
       if (iter < blandAfter) {
@@ -61,6 +63,9 @@ object Simplex {
         while (j < n + m && enter < 0) { if (z(j) < -Eps) enter = j; j += 1 }
       }
       if (enter < 0) optimal = true
+      else if (iter >= maxIter)
+        throw new IllegalStateException(
+          s"simplex: no optimum after $iter iterations (n=$n variables, m=$m rows)")
       else {
         // Ratio test.
         var leave = -1
@@ -89,7 +94,7 @@ object Simplex {
     for (i <- 0 until m) if (basis(i) < n) x(basis(i)) = t(i)(width - 1)
     var obj = 0.0
     for (j <- 0 until n) obj += c(j) * x(j)
-    Result(obj, x, iter, optimal)
+    Result(obj, x, iter)
   }
 
   private def pivot(t: Array[Array[Double]], z: Array[Double], basis: Array[Int],

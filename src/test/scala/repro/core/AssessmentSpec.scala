@@ -1,8 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import repro.corpus.TableColumn
-import repro.dists.{EvalRegistry, PatternEval}
+import repro.dists.{EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
 
 class AssessmentSpec extends SparkSpec {
 
@@ -31,6 +33,36 @@ class AssessmentSpec extends SparkSpec {
       val s = (0 until 4).map(k => counts(c.idx * 4 + k)).sum
       assert(s == corpus.size, s"candidate ${c.idx}")
     }
+  }
+
+  test("an empty column lands in the ncnt cell, so the cells still sum to |C|") {
+    val withEmpty = corpus :+ TableColumn("empty", "none", Nil, Nil, 0)
+    val c = Assessment.contingency(spark, withEmpty.toDS(), plans)
+    plans.head.candidates.foreach { cand =>
+      assert((0 until 4).map(k => c(cand.idx * 4 + k)).sum == withEmpty.size, s"candidate ${cand.idx}")
+      assert(c(cand.idx * 4 + 3) == counts(cand.idx * 4 + 3) + 1)
+    }
+  }
+
+  test("contingency is identical at 1, 4 and 64 partitions") {
+    val evals = IndexedSeq(patEval, new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, "january")) ++
+      FunctionEval.allEvals
+    val mixedPlans = CandidateGen.enumerate(new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, evals, IndexedSeq.empty))
+    val genValue = Gen.oneOf(
+      Gen.choose(1, 99).map(i => s"$i oz"),
+      Gen.choose(1, 12).map(i => s"$i/5/2020"),
+      Gen.oneOf("january", "march", "june", "febuary", "seattle", "oops", ""))
+    val genColumn = Gen.zip(Gen.identifier, Gen.choose(0, 20).flatMap(Gen.listOfN(_, genValue)))
+      .map { case (id, vs) => TableColumn(id, "gen", vs, Nil, vs.size.toLong) }
+    val prop = Prop.forAll(Gen.choose(0, 40).flatMap(Gen.listOfN(_, genColumn))) { cols =>
+      val byPartitions = Seq(1, 4, 64).map { k =>
+        Assessment.contingency(spark, spark.createDataset(spark.sparkContext.parallelize(cols, k)), mixedPlans).toSeq
+      }
+      byPartitions.distinct.size == 1
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(7L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("contingency matches hand computation for m=0.95 pattern candidate") {

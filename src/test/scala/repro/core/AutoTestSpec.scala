@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.corpus.{BenchGen, CorpusGen}
+import repro.corpus.{BenchGen, CorpusGen, TableColumn}
 import repro.eval.PrCurve
 
 /** End-to-end offline training + online prediction on small-scale data.
@@ -17,6 +17,14 @@ class AutoTestSpec extends SparkSpec {
 
   private lazy val corpus = CorpusGen.generate(CorpusGen.relationalProfile(nCols = 1500))
   private lazy val model = AutoTest.train(spark, corpus, cfg)
+
+  test("sampleCentroids draws only from non-empty columns") {
+    val cols = Seq(TableColumn("full", "d", Seq("x", "y"), Nil, 2)) ++
+      (1 to 9).map(i => TableColumn(s"empty$i", "d", Nil, Nil, 0))
+    val centroids = AutoTest.sampleCentroids(cols, 2, 42)
+    assert(centroids.nonEmpty && centroids.forall(Set("x", "y")))
+    assert(AutoTest.sampleCentroids(cols.tail, 2, 42).isEmpty)
+  }
 
   test("training produces a non-trivial R_all across multiple families") {
     assert(model.assessed.size > 50, s"only ${model.assessed.size} assessed candidates")

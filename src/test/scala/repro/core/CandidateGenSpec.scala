@@ -52,27 +52,33 @@ class CandidateGenSpec extends AnyFunSuite {
     assert(n > 2000, s"got $n")
   }
 
+  // The histogram over the grid edges lives in ColumnProfile: within(i)
+  // counts distances <= ts(i), and the values beyond ts.last trigger.
+  private val ts = Array(0.5, 1.0, 2.0)
+  private val profile = new ColumnProfile(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts)
+
   test("histogram bins distances at grid edges") {
-    val ts = Array(0.5, 1.0, 2.0)
-    val h = CandidateGen.histogram(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts)
+    val cumulative = ts.indices.map(profile.within) :+ profile.dists.length
+    val bins = cumulative.head +: cumulative.sliding(2).map(w => w(1) - w(0)).toSeq
     // bin semantics: (-inf,0.5], (0.5,1.0], (1.0,2.0], (2.0,inf)
-    assert(h.toSeq == Seq(2, 2, 1, 1))
+    assert(bins == Seq(2, 2, 1, 1))
   }
 
-  test("prefixCounts gives cntLE at each threshold") {
-    val ts = Array(0.5, 1.0, 2.0)
-    val p = CandidateGen.prefixCounts(CandidateGen.histogram(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts))
-    assert(p.toSeq == Seq(2, 4, 5, 6))
+  test("prefix counts give cntLE at each threshold") {
+    assert(ts.indices.map(profile.within) == Seq(2, 4, 5))
+    assert(profile.triggers(2) && profile.covers(2, 5.0 / 6) && !profile.covers(2, 0.9))
   }
 
   test("histogram of empty input is all zeros") {
-    assert(CandidateGen.histogram(Array.empty, Array(1.0)).toSeq == Seq(0, 0))
+    val empty = new ColumnProfile(Array.empty, Array(1.0))
+    assert(empty.within(0) == 0)
+    assert(!empty.triggers(0) && !empty.covers(0, 0.5))
   }
 
   test("boundary values are counted as inside (<=)") {
-    val ts = Array(1.0)
-    val h = CandidateGen.histogram(Array(1.0), ts)
-    assert(h.toSeq == Seq(1, 0))
+    val p = new ColumnProfile(Array(1.0), Array(1.0))
+    assert(p.within(0) == 1)
+    assert(p.covers(0, 1.0) && !p.triggers(0))
   }
 
   test("toSdc preserves parameters") {
