@@ -3,13 +3,15 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
+import repro.dists.EvalBank
 
 /** Candidate quality assessment over a corpus (paper Sec 5.2).
   *
   * For every candidate r we compute the Table 2 contingency table
   * (covered × triggered over corpus columns) in one distributed pass:
-  * each partition walks its columns, profiles each evaluator's distances at
-  * its grid edges ([[ColumnProfile]]), derives (covered, triggered) for every
+  * each partition builds one [[EvalBank]] over the plans' evaluators, walks
+  * its columns, profiles each evaluator's row of the column's distance matrix
+  * at its grid edges ([[ColumnProfile]]), derives (covered, triggered) for every
   * candidate of that evaluator, and accumulates a flat count array; partials
   * are combined with treeReduce. An empty column covers nothing and
   * triggers nothing, so it counts as ncnt and the four cells sum to |C|.
@@ -73,7 +75,8 @@ object Assessment {
       .mapPartitions { it =>
         val local = new Array[Long](nCand * 4)
         val ps = bcPlans.value
-        it.foreach { col => accumulateColumn(col.values, ps, local) }
+        val bank = new EvalBank(ps.map(_.eval))
+        it.foreach { col => accumulateColumn(bank.distances(col.values.toArray), ps, local) }
         Iterator.single(local)
       }
       .treeReduce { (a, b) =>
@@ -83,12 +86,14 @@ object Assessment {
       }
   }
 
-  /** Update the flat count array with one column's contribution. */
-  private[core] def accumulateColumn(values: Seq[String], plans: IndexedSeq[EvalPlan],
-                                     counts: Array[Long]): Unit = {
-    val arr = values.toArray
-    plans.foreach { plan =>
-      val profile = ColumnProfile(plan.eval, arr, plan.thresholds)
+  /** Update the flat count array with one column's contribution, given the
+    * column's distances under each plan's evaluator (one row per plan).
+    */
+  private def accumulateColumn(dists: Array[Array[Double]], plans: IndexedSeq[EvalPlan],
+                               counts: Array[Long]): Unit = {
+    plans.indices.foreach { k =>
+      val plan = plans(k)
+      val profile = new ColumnProfile(dists(k), plan.thresholds)
       plan.candidates.foreach { c =>
         val slot = c.idx * 4 + (if (profile.covers(c.dInIdx, c.m)) 0 else 2) +
           (if (profile.triggers(c.dOutIdx)) 0 else 1)

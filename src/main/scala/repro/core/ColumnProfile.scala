@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.dists.DomainEval
-
 /** One evaluator's distances over one column, counted at that evaluator's
   * sorted threshold edges (DESIGN §5 "histogram trick").
   *
@@ -11,6 +9,7 @@ import repro.dists.DomainEval
   * [[covers]], the trigger "some f_t(v) > d_out" is [[triggers]], and the
   * post-condition reads [[dists]]. Thresholds are passed as indices into
   * `edges`, so every candidate of an evaluator is decided from one pass.
+  * `dists` is one row of a [[repro.dists.EvalBank]]'s distance matrix.
   */
 final class ColumnProfile(val dists: Array[Double], edges: Array[Double]) {
 
@@ -41,14 +40,4 @@ final class ColumnProfile(val dists: Array[Double], edges: Array[Double]) {
 
   /** Some value lies beyond edges(edge). */
   def triggers(edge: Int): Boolean = within(edge) < n
-}
-
-object ColumnProfile {
-
-  def apply(eval: DomainEval, values: Array[String], edges: Array[Double]): ColumnProfile = {
-    val dists = new Array[Double](values.length)
-    var i = 0
-    while (i < values.length) { dists(i) = eval.distance(values(i)); i += 1 }
-    new ColumnProfile(dists, edges)
-  }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
-import repro.dists.{DomainEval, EvalRegistry}
+import repro.dists.{DomainEval, EvalBank, EvalRegistry}
 
 /** One error prediction: `value` in column `colId` is flagged with the given
   * confidence (max over all triggering SDCs, Example 3).
@@ -13,7 +13,8 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   *
   * Applies the Appendix B.2 optimisation: SDCs sharing a pre-condition
   * (evalId, d_in, m) are grouped so each pre-condition — and each
-  * evaluator's distance vector — is computed once per column.
+  * evaluator's distance vector — is computed once per column, all of them
+  * by one [[EvalBank]].
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends Serializable {
 
@@ -31,6 +32,9 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends 
       (eval, edges, groups)
     }
 
+  /** One bank over byEval's evaluators, in byEval order. */
+  private val bank = new EvalBank(byEval.map(_._1))
+
   def size: Int = sdcs.size
 
   /** Distinct pre-conditions after dedup (latency driver, Appendix B.2). */
@@ -39,11 +43,14 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends 
   /** Calls `f` with each group of SDCs whose shared pre-condition holds on
     * the column, together with that evaluator's profile of the column.
     */
-  private def foreachCovered(values: Array[String])(f: (ColumnProfile, IndexedSeq[Sdc]) => Unit): Unit =
-    byEval.foreach { case (eval, edges, groups) =>
-      val profile = ColumnProfile(eval, values, edges)
+  private def foreachCovered(values: Array[String])(f: (ColumnProfile, IndexedSeq[Sdc]) => Unit): Unit = {
+    val dists = bank.distances(values)
+    byEval.indices.foreach { k =>
+      val (_, edges, groups) = byEval(k)
+      val profile = new ColumnProfile(dists(k), edges)
       groups.foreach { case (edge, m, members) => if (profile.covers(edge, m)) f(profile, members) }
     }
+  }
 
   /** SDCs whose pre-condition holds on the column (the "covered by" relation
     * of Sec 5.2 — used for Table 9's column-level coverage reporting).

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
+import repro.dists.EvalBank
 import repro.util.Det
 
 /** Distant-supervision recall estimation (paper Sec 5.3).
@@ -44,28 +45,35 @@ object SynCorpus {
     out.result()
   }
 
-  /** Distributed D(r): (synId, candIdx) detection pairs.
+  /** Distributed D(r): (synId, candIdx) detection pairs, in C_syn order.
     *
-    * Per synthetic column and evaluator, one [[ColumnProfile]] of
-    * C(v^e) = base values + v^e decides every candidate of that evaluator
-    * at once: pre-condition over the n+1 values, post-condition on v^e.
+    * Each partition builds one [[EvalBank]] over the plans' evaluators. Per
+    * synthetic column, the bank's distance matrix of C(v^e) = base values +
+    * v^e gives one [[ColumnProfile]] per evaluator, which decides every
+    * candidate of that evaluator at once: pre-condition over the n+1
+    * values, post-condition on v^e.
     */
   def detections(spark: SparkSession, syn: Seq[SynColumn],
                  plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
     val bcPlans = spark.sparkContext.broadcast(plans)
     val rdd = spark.sparkContext.parallelize(syn,
       math.max(1, math.min(64, syn.size / 16)))
-    rdd.flatMap { sc =>
-      val hits = IndexedSeq.newBuilder[(Int, Int)]
-      val arr = (sc.baseValues :+ sc.errValue).toArray
-      bcPlans.value.foreach { plan =>
-        val profile = ColumnProfile(plan.eval, arr, plan.thresholds)
-        val dErr = profile.dists.last
-        plan.candidates.foreach { c =>
-          if (dErr > c.dOut && profile.covers(c.dInIdx, c.m)) hits += ((sc.synId, c.idx))
+    rdd.mapPartitions { it =>
+      val ps = bcPlans.value
+      val bank = new EvalBank(ps.map(_.eval))
+      it.flatMap { sc =>
+        val hits = IndexedSeq.newBuilder[(Int, Int)]
+        val dists = bank.distances((sc.baseValues :+ sc.errValue).toArray)
+        ps.indices.foreach { k =>
+          val plan = ps(k)
+          val profile = new ColumnProfile(dists(k), plan.thresholds)
+          val dErr = profile.dists.last
+          plan.candidates.foreach { c =>
+            if (dErr > c.dOut && profile.covers(c.dInIdx, c.m)) hits += ((sc.synId, c.idx))
+          }
         }
+        hits.result()
       }
-      hits.result()
     }.collect().toIndexedSeq
   }
 }

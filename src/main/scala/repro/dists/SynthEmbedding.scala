@@ -117,9 +117,12 @@ object SynthEmbedding {
 
 /** Embedding-based domain evaluation: distance of v to a fixed centroid value
   * (paper Eq 2 — e.g. Glove distance to "january" represents month-name).
+  * [[EvalBank]] reads `emb` and `centroidVec` to embed each value once per
+  * model for all centroids.
   */
-final class EmbeddingCentroidEval(emb: SynthEmbedding, centroidValue: String) extends DomainEval {
-  private val centroidVec = emb.embed(centroidValue)
+final class EmbeddingCentroidEval(private[dists] val emb: SynthEmbedding, centroidValue: String)
+    extends DomainEval {
+  private[dists] val centroidVec: Array[Double] = emb.embed(centroidValue)
   override val id: String = s"emb:${emb.name}:$centroidValue"
   override def family: String = DomainEval.Embedding
   override def distance(v: String): Double = LinAlg.euclidean(emb.embed(v), centroidVec)

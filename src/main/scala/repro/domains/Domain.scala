@@ -40,10 +40,11 @@ final case class VocabDomain(
 
   val all: IndexedSeq[String] = common ++ uncommon
 
+  private val ranks = new Det.Zipf(all.length, zipfAlpha)
+
   override def isMachine: Boolean = false
 
-  override def draw(seed: Long): String =
-    all(Det.zipf(seed, all.length, zipfAlpha))
+  override def draw(seed: Long): String = all(ranks.draw(seed))
 }
 
 /** Machine-generated domain: values produced by a deterministic generator. */

@@ -146,14 +146,19 @@ object Experiments {
     (r.f1AtP80, r.prAuc)
   }
 
-  /** Average single-threaded prediction latency (seconds per column). */
+  /** Single-threaded prediction latency (seconds per column): the median
+    * of 5 timed passes over a 300-column sample, after one untimed pass
+    * over the whole sample so JIT compilation order does not rank models.
+    */
   def latencyPerColumn(model: SdcModel, cols: Seq[TableColumn]): Double = {
     val sample = cols.take(300)
-    // warm-up to exclude JIT effects from the measurement
-    sample.take(30).foreach(c => model.predictColumn(c.values))
-    val t0 = System.nanoTime()
     sample.foreach(c => model.predictColumn(c.values))
-    (System.nanoTime() - t0) / 1e9 / sample.size
+    val passes = Seq.fill(5) {
+      val t0 = System.nanoTime()
+      sample.foreach(c => model.predictColumn(c.values))
+      (System.nanoTime() - t0) / 1e9 / sample.size
+    }
+    passes.sorted.apply(2)
   }
 
   // ------------------------------------------------------------- formatting

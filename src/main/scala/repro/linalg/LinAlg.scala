@@ -31,7 +31,15 @@ object LinAlg {
 
   def scale(a: Vec, s: Double): Vec = a.map(_ * s)
 
-  def euclidean(a: Vec, b: Vec): Double = norm2(sub(a, b))
+  /** ‖a − b‖₂ without allocating: Σ(aᵢ − bᵢ)² left to right, then sqrt,
+    * which is bit-identical to `norm2(sub(a, b))`.
+    */
+  def euclidean(a: Vec, b: Vec): Double = {
+    require(a.length == b.length, "euclidean: dimension mismatch")
+    var s = 0.0; var i = 0
+    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+    math.sqrt(s)
+  }
 
   def cosineDistance(a: Vec, b: Vec): Double = {
     val na = norm2(a); val nb = norm2(b)

@@ -65,6 +65,15 @@ class AssessmentSpec extends SparkSpec {
     assert(result.passed, result.status)
   }
 
+  test("contingency equals the per-evaluator distance reference for all four families") {
+    val ref = PerValueReference
+    val mixedPlans = CandidateGen.enumerate(ref.mixedRegistry)
+    val got = Assessment.contingency(spark, ref.corpus.toDS(), mixedPlans)
+    assert(got.toSeq == ref.contingency(ref.corpus, mixedPlans).toSeq)
+    assert(mixedPlans.exists(p => p.eval.family == repro.dists.DomainEval.Embedding &&
+      p.candidates.exists(c => got(c.idx * 4) + got(c.idx * 4 + 1) > 0)), "no embedding candidate covers a column")
+  }
+
   test("contingency matches hand computation for m=0.95 pattern candidate") {
     val c = plans.head.candidates.find(_.m == 0.95).get
     val ct   = counts(c.idx * 4)     // covered & triggered: the error column

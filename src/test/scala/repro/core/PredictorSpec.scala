@@ -91,6 +91,21 @@ class PredictorSpec extends SparkSpec {
     assert(dist == local)
   }
 
+  test("predictColumn equals the per-evaluator distance reference for all four families") {
+    val ref = PerValueReference
+    // Every candidate of the mixed registry as an SDC, confidences spread so
+    // the max over triggering SDCs is exercised.
+    val sdcs = CandidateGen.enumerate(ref.mixedRegistry).flatMap(_.candidates)
+      .map(c => c.toSdc(0.5 + (c.idx % 50) / 100.0))
+    val big = new SdcModel(sdcs, ref.mixedRegistry)
+    val cols = ref.corpus.map(_.values) ++
+      SynCorpus.generate(ref.corpus, 60, 7L).map(sc => sc.baseValues :+ sc.errValue) ++
+      Seq(Seq.empty, Seq(null, "", "  "), repro.domains.Vocab.months :+ "febuary",
+        Seq("München", "東京", "JANUARY", "january"))
+    cols.foreach(vs => assert(big.predictColumn(vs) == ref.predictColumn(sdcs, ref.mixedRegistry, vs), vs))
+    assert(cols.count(vs => big.predictColumn(vs).nonEmpty) > 10)
+  }
+
   test("an uncommon-but-valid value is not flagged (Fig 3 guard)") {
     // "shakopee"-style: model covers cities via embedding? Our hand model has
     // no city SDC, so the column is simply not covered — no FPs.

@@ -62,6 +62,16 @@ class SynCorpusSpec extends SparkSpec {
     assert(dets.isEmpty)
   }
 
+  test("detections equal the per-evaluator distance reference, in order") {
+    val ref = PerValueReference
+    val plans = CandidateGen.enumerate(ref.mixedRegistry)
+    val syn = SynCorpus.generate(ref.corpus, 120, 6L)
+    val dets = SynCorpus.detections(spark, syn, plans)
+    assert(dets == ref.detections(syn, plans))
+    val byEval = plans.flatMap(p => p.candidates.map(_.idx -> p.eval.family)).toMap
+    assert(dets.exists(d => byEval(d._2) == repro.dists.DomainEval.Embedding), "no embedding detection")
+  }
+
   test("detection pairs reference valid candidate indices") {
     val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty,
       IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")), IndexedSeq.empty)

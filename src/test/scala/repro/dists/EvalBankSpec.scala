@@ -1,0 +1,76 @@
+package repro.dists
+
+import java.lang.Double.doubleToLongBits
+
+import org.scalacheck.{Arbitrary, Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
+import repro.domains.Vocab
+import repro.util.Det
+
+class EvalBankSpec extends AnyFunSuite {
+
+  private val cta: IndexedSeq[DomainEval] =
+    CtaClassifier.sherlockBank(Vocab.nlDomains).take(4) ++ CtaClassifier.doduoBank(Vocab.nlDomains).take(4)
+  private val glove: IndexedSeq[DomainEval] = Seq("january", "seattle", "red", "germany")
+    .map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)).toIndexedSeq
+  private val sbert: IndexedSeq[DomainEval] = Seq("march", "phoenix", "blue", "omayra")
+    .map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)).toIndexedSeq
+  private val patterns: IndexedSeq[DomainEval] =
+    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+"))
+  private val allEvals: IndexedSeq[DomainEval] = cta ++ glove ++ sbert ++ patterns ++ FunctionEval.allEvals
+
+  // Vocabulary, machine-looking, null, empty, whitespace-only, mixed-case,
+  // padded, unicode and arbitrary strings.
+  private val genValue: Gen[String] = Gen.frequency(
+    4 -> Gen.oneOf(Vocab.months ++ Vocab.nlDomains.flatMap(_.common.take(5))),
+    2 -> Gen.oneOf("12 oz", "3/10/2020", "item7", "a@b.com", "10.0.0.1", "https://x.org", "4111111111111111"),
+    1 -> Gen.oneOf(null, "", " ", "\t \n", "JaNuArY", "  Seattle ", "SAN FRANCISCO", "febuary"),
+    1 -> Gen.oneOf("münchen", "東京", "señor", "😀 smile", "ΑΘΗΝΑ", "ǅemal"),
+    1 -> Arbitrary.arbitrary[String],
+  )
+
+  // Columns repeat some of their values, as real columns do.
+  private val genColumn: Gen[Array[String]] = for {
+    vs <- Gen.listOf(genValue)
+    k  <- Gen.choose(0, vs.size)
+  } yield (vs ++ vs.take(k)).toArray
+
+  // Any subset of the evaluators in any order, so the families interleave.
+  private val genEvals: Gen[IndexedSeq[DomainEval]] = for {
+    subset <- Gen.someOf(allEvals)
+    seed   <- Arbitrary.arbitrary[Long]
+  } yield Det.shuffle(seed, subset.toSeq)
+
+  private def matchesDistance(evals: IndexedSeq[DomainEval], values: Array[String]): Boolean = {
+    val d = new EvalBank(evals).distances(values)
+    d.length == evals.size && evals.indices.forall { i =>
+      d(i).length == values.length && values.indices.forall { j =>
+        doubleToLongBits(d(i)(j)) == doubleToLongBits(evals(i).distance(values(j)))
+      }
+    }
+  }
+
+  private def check(prop: Prop, cases: Int): Unit = {
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(11L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("distances(vs)(i)(j) is bit-equal to evals(i).distance(vs(j)) for all four families") {
+    check(Prop.forAll(genEvals, genColumn)(matchesDistance), 200)
+  }
+
+  test("a bank with one embedding model matches per-evaluator distance") {
+    check(Prop.forAll(genColumn)(vs => matchesDistance(glove, vs)), 100)
+  }
+
+  test("an empty column gives one empty row per evaluator") {
+    val d = new EvalBank(allEvals).distances(Array.empty)
+    assert(d.length == allEvals.size && d.forall(_.isEmpty))
+  }
+
+  test("an empty evaluator list gives no rows") {
+    assert(new EvalBank(IndexedSeq.empty).distances(Array("january", null, "")).isEmpty)
+  }
+}

@@ -1,5 +1,7 @@
 package repro.linalg
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.LinAlg._
 
@@ -28,6 +30,23 @@ class LinAlgSpec extends AnyFunSuite {
     val a = Array(1.0, 2.0, 3.0); val b = Array(4.0, 0.0, 1.0)
     assert(approx(euclidean(a, b), euclidean(b, a)))
     assert(approx(euclidean(a, a), 0.0))
+  }
+
+  test("euclidean is bit-equal to norm2(sub(a, b)) on random vectors") {
+    val genDouble = Gen.oneOf(Gen.choose(-10.0, 10.0), Gen.choose(-1e9, 1e9), Arbitrary.arbitrary[Double])
+    val genPair = Gen.choose(0, 32).flatMap { d =>
+      Gen.zip(Gen.listOfN(d, genDouble).map(_.toArray), Gen.listOfN(d, genDouble).map(_.toArray))
+    }
+    val prop = Prop.forAll(genPair) { case (a, b) =>
+      java.lang.Double.doubleToLongBits(euclidean(a, b)) == java.lang.Double.doubleToLongBits(norm2(sub(a, b)))
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(3L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("euclidean rejects dimension mismatch") {
+    intercept[IllegalArgumentException](euclidean(Array(1.0), Array(1.0, 2.0)))
   }
 
   test("cosineDistance of identical vectors is 0, opposite is 2") {

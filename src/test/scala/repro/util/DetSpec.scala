@@ -1,5 +1,7 @@
 package repro.util
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class DetSpec extends AnyFunSuite {
@@ -107,6 +109,33 @@ class DetSpec extends AnyFunSuite {
     val rank0 = draws.count(_ == 0).toDouble / draws.size
     val rank20 = draws.count(_ == 20).toDouble / draws.size
     assert(rank0 > rank20 * 3, s"rank0=$rank0 rank20=$rank20")
+  }
+
+  // The per-draw formula that Det.Zipf tabulates once per (n, alpha).
+  private def zipfPerDraw(seed: Long, n: Int, alpha: Double): Int = {
+    val w = (0 until n).map(k => 1.0 / math.pow(k + 1.0, alpha))
+    var u = Det.uniform(seed) * w.sum
+    var i = 0
+    while (i < n - 1 && u >= w(i)) { u -= w(i); i += 1 }
+    i
+  }
+
+  test("tabulated zipf equals the per-draw formula for n in 1..4096 over 1,000 seeds") {
+    val gen = Gen.zip(Arbitrary.arbitrary[Long], Gen.choose(1, 4096),
+      Gen.oneOf(Gen.const(0.9), Gen.choose(0.3, 2.5)))
+    val prop = Prop.forAll(gen) { case (seed, n, alpha) =>
+      val table = new Det.Zipf(n, alpha)
+      table.draw(seed) == zipfPerDraw(seed, n, alpha) && Det.zipf(seed, n, alpha) == table.draw(seed)
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(5L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("VocabDomain draws equal the per-draw zipf formula (one table, many draws)") {
+    repro.domains.Vocab.nlDomains.foreach { d =>
+      seeds.foreach(s => assert(d.draw(s) == d.all(zipfPerDraw(s, d.all.length, d.zipfAlpha)), d.name))
+    }
   }
 
   test("zipf large-n fallback stays in range") {
