@@ -21,22 +21,28 @@ final class ColumnProfile(val dists: Array[Double], edges: Array[Double]) {
   private val cumulative: Array[Int] = {
     val c = new Array[Int](edges.length + 1)
     var i = 0
-    while (i < n) {
-      val d = dists(i)
-      var b = 0
-      while (b < edges.length && d > edges(b)) b += 1
-      c(b) += 1
-      i += 1
-    }
+    while (i < n) { c(bucket(dists(i))) += 1; i += 1 }
     var b = 1
     while (b < c.length) { c(b) += c(b - 1); b += 1 }
     c
+  }
+
+  private def bucket(d: Double): Int = {
+    var b = 0
+    while (b < edges.length && d > edges(b)) b += 1
+    b
   }
 
   private[core] def within(edge: Int): Int = cumulative(edge)
 
   /** Pre-condition: at least a fraction `m` of the values lie within edges(edge). */
   def covers(edge: Int, m: Double): Boolean = n > 0 && within(edge).toDouble / n >= m
+
+  /** [[covers]] of this column plus one more value at distance `d`, without
+    * re-profiling: a C_syn column C(v^e) is a base column plus v^e.
+    */
+  def coversWith(d: Double, edge: Int, m: Double): Boolean =
+    (within(edge) + (if (bucket(d) <= edge) 1 else 0)).toDouble / (n + 1) >= m
 
   /** Some value lies beyond edges(edge). */
   def triggers(edge: Int): Boolean = within(edge) < n

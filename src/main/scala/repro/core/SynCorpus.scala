@@ -47,33 +47,47 @@ object SynCorpus {
 
   /** Distributed D(r): (synId, candIdx) detection pairs, in C_syn order.
     *
-    * Each partition builds one [[EvalBank]] over the plans' evaluators. Per
-    * synthetic column, the bank's distance matrix of C(v^e) = base values +
-    * v^e gives one [[ColumnProfile]] per evaluator, which decides every
-    * candidate of that evaluator at once: pre-condition over the n+1
-    * values, post-condition on v^e.
+    * Synthetic columns that share a base column (same id and values) are
+    * decided together. Each partition builds one [[EvalBank]] over the plans'
+    * evaluators; per base column, one distance matrix covers the base values
+    * and every injected v^e. Per evaluator the base values are profiled once
+    * ([[ColumnProfile]]), and each synthetic column's candidates are decided
+    * from that profile plus its own v^e: pre-condition over the n+1 values
+    * ([[ColumnProfile.coversWith]]), post-condition on v^e.
     */
   def detections(spark: SparkSession, syn: Seq[SynColumn],
                  plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
+    // (base values, (position in syn, synId, v^e) per synthetic column)
+    val groups = syn.toIndexedSeq.zipWithIndex
+      .groupBy { case (sc, _) => (sc.baseColId, sc.baseValues) }
+      .toIndexedSeq
+      .map { case ((_, base), cols) => (base, cols.map { case (sc, pos) => (pos, sc.synId, sc.errValue) }) }
+      .sortBy(_._2.head._1)
     val bcPlans = spark.sparkContext.broadcast(plans)
-    val rdd = spark.sparkContext.parallelize(syn,
-      math.max(1, math.min(64, syn.size / 16)))
-    rdd.mapPartitions { it =>
+    val rdd = spark.sparkContext.parallelize(groups,
+      math.max(1, math.min(64, groups.size / 16)))
+    val perColumn = rdd.mapPartitions { it =>
       val ps = bcPlans.value
       val bank = new EvalBank(ps.map(_.eval))
-      it.flatMap { sc =>
-        val hits = IndexedSeq.newBuilder[(Int, Int)]
-        val dists = bank.distances((sc.baseValues :+ sc.errValue).toArray)
-        ps.indices.foreach { k =>
-          val plan = ps(k)
-          val profile = new ColumnProfile(dists(k), plan.thresholds)
-          val dErr = profile.dists.last
-          plan.candidates.foreach { c =>
-            if (dErr > c.dOut && profile.covers(c.dInIdx, c.m)) hits += ((sc.synId, c.idx))
+      it.flatMap { case (base, cols) =>
+        val nBase = base.size
+        val dists = bank.distances((base ++ cols.map(_._3)).toArray)
+        val profiles = ps.indices.map(k => new ColumnProfile(java.util.Arrays.copyOf(dists(k), nBase), ps(k).thresholds))
+        cols.indices.iterator.map { j =>
+          val (pos, synId, _) = cols(j)
+          val hits = IndexedSeq.newBuilder[(Int, Int)]
+          ps.indices.foreach { k =>
+            val dErr = dists(k)(nBase + j)
+            ps(k).candidates.foreach { c =>
+              if (dErr > c.dOut && profiles(k).coversWith(dErr, c.dInIdx, c.m)) hits += ((synId, c.idx))
+            }
           }
+          (pos, hits.result())
         }
-        hits.result()
       }
-    }.collect().toIndexedSeq
+    }.collect()
+    val inOrder = new Array[IndexedSeq[(Int, Int)]](syn.size)
+    perColumn.foreach { case (pos, hits) => inOrder(pos) = hits }
+    inOrder.toIndexedSeq.flatten
   }
 }

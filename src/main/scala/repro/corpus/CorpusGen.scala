@@ -67,9 +67,25 @@ object CorpusGen {
     */
   def caseJitter(v: String, seed: Long): String = {
     val u = Det.uniform(Det.combine(seed, 0xcafeL))
-    if (u < 0.22) v.split(' ').map(w => if (w.isEmpty) w else s"${w.head.toUpper}${w.tail}").mkString(" ")
+    if (u < 0.22) titleCase(v)
     else if (u < 0.30) v.toUpperCase
     else v
+  }
+
+  /** Upper-case the first char of every space-separated word and drop
+    * trailing spaces, as `v.split(' ')` then `mkString(" ")` would.
+    */
+  private def titleCase(v: String): String = {
+    var end = v.length
+    while (end > 0 && v.charAt(end - 1) == ' ') end -= 1
+    val out = new Array[Char](end)
+    var i = 0
+    while (i < end) {
+      val c = v.charAt(i)
+      out(i) = if (i == 0 || v.charAt(i - 1) == ' ') c.toUpper else c
+      i += 1
+    }
+    new String(out)
   }
 
   /** Draw `n` distinct values from `domain` (best-effort for tiny vocabs). */

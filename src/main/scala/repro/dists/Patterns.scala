@@ -1,6 +1,8 @@
 package repro.dists
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.unsafe.types.UTF8String
+import scala.collection.mutable
 
 /** Pattern-based domain evaluation (paper Sec 3, method 3).
   *
@@ -11,7 +13,7 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   *
   * The pattern *miner* reproduces Sec 5.1's "generate common patterns
   * observed in our corpus": patterns are ranked by how many corpus columns
-  * they dominate, computed as a Spark aggregation.
+  * they dominate, counted in one map-side Spark job.
   */
 object Patterns {
 
@@ -51,28 +53,51 @@ object Patterns {
   /** Mine the `topK` patterns that most often *dominate* a corpus column
     * (dominance = the pattern covers >= `domFrac` of the column's values).
     * Input: DataFrame with (col_id: string, value: string).
+    *
+    * One map-side job, no shuffle: each partition counts (column, pattern)
+    * pairs, and the driver merges the partial counts, so a column split
+    * across partitions is counted whole. Patterns are ranked by the number
+    * of columns they dominate, descending, ties by UTF-8 byte order, as
+    * Spark orders strings.
     */
   def minePatterns(exploded: DataFrame, topK: Int = 45, domFrac: Double = 0.8): Seq[String] = {
-    import exploded.sparkSession.implicits._
-    val genUdf = F.udf((v: String) => generalize(v))
-    val perColPattern = exploded
-      .select($"col_id", genUdf($"value").as("pattern"))
-      .groupBy($"col_id", $"pattern")
-      .agg(F.count(F.lit(1)).as("cnt"))
-    val colSizes = perColPattern.groupBy($"col_id").agg(F.sum($"cnt").as("total"))
-    perColPattern
-      .join(colSizes, "col_id")
-      .where($"cnt" >= $"total" * domFrac)
-      .groupBy($"pattern")
-      .agg(F.count(F.lit(1)).as("nDominated"))
-      .where($"pattern" =!= "<empty>")
-      .orderBy(F.desc("nDominated"), $"pattern")
-      .limit(topK)
-      .select($"pattern")
-      .as[String]
-      .collect()
-      .toSeq
+    val partial = exploded.select("col_id", "value").rdd.mapPartitions { rows =>
+      val counts = mutable.HashMap.empty[(String, String), Long]
+      rows.foreach { r =>
+        // A null col_id never joins to its column total in SQL; skip it.
+        if (!r.isNullAt(0)) {
+          val key = (r.getString(0), asSparkString(generalize(r.getString(1))))
+          counts(key) = counts.getOrElse(key, 0L) + 1L
+        }
+      }
+      counts.iterator
+    }.collect()
+
+    val perCol = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
+    partial.foreach { case ((col, pattern), n) =>
+      val m = perCol.getOrElseUpdate(col, mutable.HashMap.empty)
+      m(pattern) = m.getOrElse(pattern, 0L) + n
+    }
+    val nDominated = mutable.HashMap.empty[String, Long]
+    perCol.valuesIterator.foreach { counts =>
+      val total = counts.valuesIterator.sum
+      counts.foreach { case (pattern, cnt) =>
+        if (cnt >= total * domFrac && pattern != "<empty>")
+          nDominated(pattern) = nDominated.getOrElse(pattern, 0L) + 1L
+      }
+    }
+    nDominated.toSeq
+      .map { case (pattern, n) => (pattern, n, UTF8String.fromString(pattern)) }
+      .sortWith { (a, b) => a._2 > b._2 || (a._2 == b._2 && a._3.compareTo(b._3) < 0) }
+      .take(topK)
+      .map(_._1)
   }
+
+  /** The string Spark stores for `s`: UTF-8 encoding replaces an unpaired
+    * surrogate (a truncated pattern can end in one) with '?'.
+    */
+  private def asSparkString(s: String): String =
+    if (s.exists(Character.isSurrogate)) UTF8String.fromString(s).toString else s
 }
 
 /** 0/1 distance to a fixed pattern (Eq 3). */

@@ -151,6 +151,15 @@ object Vocab {
 
   // ------------------------------------------------------ machine generators
 
+  /** `n` in decimal, left-padded with zeros to `width` characters after any
+    * sign, as `%0<width>d` formats it.
+    */
+  def zeroPad(n: Int, width: Int): String = {
+    val digits = Integer.toString(n)
+    val zeros = "0" * (width - digits.length)
+    if (n < 0) "-" + zeros + digits.substring(1) else zeros + digits
+  }
+
   def genDate(seed: Long): String = {
     val m = 1 + Det.nextInt(Det.combine(seed, 1), 12)
     val d = 1 + Det.nextInt(Det.combine(seed, 2), 28)
@@ -162,14 +171,14 @@ object Vocab {
     val m = 1 + Det.nextInt(Det.combine(seed, 1), 12)
     val d = 1 + Det.nextInt(Det.combine(seed, 2), 28)
     val y = 1990 + Det.nextInt(Det.combine(seed, 3), 35)
-    f"$y%04d-$m%02d-$d%02d"
+    s"${zeroPad(y, 4)}-${zeroPad(m, 2)}-${zeroPad(d, 2)}"
   }
 
   def genTime(seed: Long): String = {
     val h = Det.nextInt(Det.combine(seed, 1), 24)
     val m = Det.nextInt(Det.combine(seed, 2), 60)
     val s = Det.nextInt(Det.combine(seed, 3), 60)
-    f"$h%02d:$m%02d:$s%02d"
+    s"${zeroPad(h, 2)}:${zeroPad(m, 2)}:${zeroPad(s, 2)}"
   }
 
   def genUrl(seed: Long): String = {
@@ -213,7 +222,7 @@ object Vocab {
     digits.mkString + check.toString
   }
 
-  def genFiscalYear(seed: Long): String = f"fy${10 + Det.nextInt(seed, 20)}%02d"
+  def genFiscalYear(seed: Long): String = "fy" + zeroPad(10 + Det.nextInt(seed, 20), 2)
 
   def genUnit(seed: Long): String = {
     // ~12% decimal quantities: Fig 2's C6 mixes "12 oz" with "9.8 oz".
@@ -230,7 +239,7 @@ object Vocab {
     val p = Det.pick(Det.combine(seed, 1), IndexedSeq("tt", "b", "num", "id", "po", "inv"))
     val w = 5 + Det.nextInt(Det.combine(seed, 2), 4)
     val n = Det.nextInt(Det.combine(seed, 3), 10000000)
-    p + (s"%0${w}d").format(n)
+    p + zeroPad(n, w)
   }
 
   def genAgeRange(seed: Long): String = {
@@ -244,13 +253,13 @@ object Vocab {
     s"$$${lo}-${lo + 50}k"
   }
 
-  def genZip(seed: Long): String = f"${Det.nextInt(seed, 100000)}%05d"
+  def genZip(seed: Long): String = zeroPad(Det.nextInt(seed, 100000), 5)
 
   def genPhone(seed: Long): String = {
     val a = 200 + Det.nextInt(Det.combine(seed, 1), 800)
     val b = 100 + Det.nextInt(Det.combine(seed, 2), 900)
     val c = Det.nextInt(Det.combine(seed, 3), 10000)
-    f"$a-$b-$c%04d"
+    s"$a-$b-${zeroPad(c, 4)}"
   }
 
   /** Gene-code-style values with *mixed* syntax (SOCS4, RP11-6L6.2, PRCP):

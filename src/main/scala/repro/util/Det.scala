@@ -32,12 +32,20 @@ object Det {
     mix64(h)
   }
 
+  private final val CombineInit = 0x51_7c_c1_b7_27_22_0a_95L
+
   /** Combine seed material into one seed. */
   def combine(parts: Long*): Long = {
-    var h = 0x51_7c_c1_b7_27_22_0a_95L
+    var h = CombineInit
     parts.foreach(p => h = mix64(h ^ p))
     h
   }
+
+  /** `combine(a, b)` without boxing the parts. */
+  def combine(a: Long, b: Long): Long = mix64(mix64(CombineInit ^ a) ^ b)
+
+  /** `combine(a, b, c)` without boxing the parts. */
+  def combine(a: Long, b: Long, c: Long): Long = mix64(combine(a, b) ^ c)
 
   /** Uniform double in [0, 1) from a seed. */
   def uniform(seed: Long): Double =

@@ -72,6 +72,31 @@ class SynCorpusSpec extends SparkSpec {
     assert(dets.exists(d => byEval(d._2) == repro.dists.DomainEval.Embedding), "no embedding detection")
   }
 
+  test("detections of synthetic columns sharing a base equal the reference, in order") {
+    val ref = PerValueReference
+    val plans = CandidateGen.enumerate(ref.mixedRegistry)
+    // Three detected synthetic columns on different bases supply bases and v^e.
+    val gen = SynCorpus.generate(ref.corpus, 120, 6L)
+    val hit = ref.detections(gen, plans).map(d => gen(d._1)).distinctBy(_.baseColId)
+    val Seq(a, b, c) = hit.take(3)
+    def sc(id: Int, base: SynCorpus.SynColumn, err: String) = base.copy(synId = id, errValue = err)
+    val syn = IndexedSeq(
+      sc(9, a, a.errValue), sc(3, b, b.errValue), sc(7, a, c.errValue),
+      SynCorpus.SynColumn(1, "empty", Nil, a.errValue),
+      // same baseColId as `a`, other values: must be decided on its own base
+      SynCorpus.SynColumn(4, a.baseColId, c.baseValues, a.errValue),
+      sc(0, a, "12 oz"), sc(8, b, a.errValue),
+      SynCorpus.SynColumn(2, "empty", Nil, b.errValue),
+      sc(5, a, a.errValue), sc(6, c, c.errValue))
+    val dets = SynCorpus.detections(spark, syn, plans)
+    assert(dets == ref.detections(syn, plans))
+    def detected(synId: Int) = dets.collect { case (`synId`, cand) => cand }.toSet
+    assert(detected(9).nonEmpty && detected(9) == detected(5), "same base and v^e, same detections")
+    assert(detected(4) != detected(9), "same baseColId, other values: decided on its own base")
+    // C(v^e) = {v^e}: covering needs f(v^e) <= d_in, detecting f(v^e) > d_out > d_in.
+    assert(detected(1).isEmpty && detected(2).isEmpty)
+  }
+
   test("detection pairs reference valid candidate indices") {
     val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty,
       IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")), IndexedSeq.empty)

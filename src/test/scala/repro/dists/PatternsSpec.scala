@@ -1,5 +1,7 @@
 package repro.dists
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.Oracle
 import repro.corpus.{ColumnStore, TableColumn}
@@ -76,6 +78,52 @@ class PatternsSpec extends SparkSpec {
     val df = ColumnStore.toDf(spark, cols)
     val mined = Patterns.minePatterns(ColumnStore.explode(df), topK = 3)
     assert(mined.size <= 3)
+  }
+
+  private def exploded(cols: Seq[TableColumn]) = ColumnStore.explode(ColumnStore.toDf(spark, cols))
+
+  // U+E000 sorts below U+1F600 in UTF-8 bytes (EE.. < F0..) but above it
+  // in UTF-16 code units (E000 > D83D), so String.compareTo would swap them.
+  private val privateUse = "\uE000"
+  private val emoji = "\uD83D\uDE00"
+  // 59 literal dashes then a surrogate pair: truncating the pattern to 60
+  // chars leaves an unpaired high surrogate, which Spark stores as '?'.
+  private val splitPair = "-" * 59 + emoji
+
+  test("minePatterns breaks ties by UTF-8 byte order, as Spark orders strings") {
+    val cols = Seq(emoji, privateUse, "ab", "\uFFFD", splitPair).zipWithIndex.map { case (v, i) =>
+      TableColumn(s"c$i", "d", Seq.fill(3)(v), Nil, 3)
+    }
+    val expected = Seq("-" * 59 + "?…", "[a-zA-Z]+", privateUse, "\uFFFD", emoji)
+    assert(Patterns.minePatterns(exploded(cols), topK = 10) == expected)
+    assert(SqlPatternMiner.minePatterns(exploded(cols), 10, 0.8) == expected)
+  }
+
+  test("minePatterns equals the SQL aggregation at 1, 3 and 16 partitions") {
+    val atom = Gen.oneOf("7", "12", "3.5", "ab", "Zx", "-", ".", "/", " ", "  ",
+      privateUse, "\uFFFD", emoji, "\uD835\uDC00", "\u00e9", "\u4e2d", splitPair)
+    val value: Gen[String] = Gen.frequency(
+      1 -> Gen.const(null), 1 -> Gen.const(""),
+      12 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, atom)).map(_.mkString))
+    // A column draws mostly from its own 1-3 values, so patterns dominate
+    // several columns and tie; it may be empty.
+    val column: Gen[Seq[String]] = for {
+      own <- Gen.choose(1, 3).flatMap(Gen.listOfN(_, value))
+      n   <- Gen.choose(0, 10)
+      vs  <- Gen.listOfN(n, Gen.frequency(4 -> Gen.oneOf(own), 1 -> value))
+    } yield vs
+    val corpus = Gen.choose(0, 12).flatMap(Gen.listOfN(_, column)).map(_.zipWithIndex.map {
+      case (vs, i) => TableColumn(s"c$i", "d", vs, Nil, vs.size.toLong)
+    })
+    val domFrac = Gen.oneOf(Gen.oneOf(0.3, 0.5, 0.8, 1.0), Gen.choose(0.05, 1.0))
+    val prop = Prop.forAll(corpus, Gen.choose(1, 12), domFrac) { (cols, topK, frac) =>
+      val df = exploded(cols)
+      val expected = SqlPatternMiner.minePatterns(df, topK, frac)
+      Seq(1, 3, 16).forall(p => Patterns.minePatterns(df.repartition(p), topK, frac) == expected)
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(11L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("pattern dominance counts agree with DuckDB (oracle)") {

@@ -1,7 +1,11 @@
 package repro.domains
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.corpus.CorpusGen
 import repro.dists.Validators
+import repro.util.Det
 
 class VocabSpec extends AnyFunSuite {
 
@@ -146,5 +150,79 @@ class VocabSpec extends AnyFunSuite {
     assert(!Vocab.city.isMachine)
     assert(Vocab.nlDomains.forall(!_.isMachine))
     assert(Vocab.machineDomains.forall(_.isMachine))
+  }
+
+  test("zeroPad equals %0<width>d for every width and value range") {
+    (1 to 10).foreach { w =>
+      (0 until 100000).foreach(n => assert(Vocab.zeroPad(n, w) == (s"%0${w}d").format(n), s"$n $w"))
+    }
+    val prop = Prop.forAll(Gen.oneOf(Gen.choose(Int.MinValue, Int.MaxValue), Gen.choose(-99999, 99999),
+        Gen.choose(0, 10000000), Gen.oneOf(0, -1, Int.MinValue, Int.MaxValue)), Gen.choose(1, 12)) { (n, w) =>
+      Vocab.zeroPad(n, w) == (s"%0${w}d").format(n)
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(8L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("formatted generators equal their java.util.Formatter expressions") {
+    def isoDate(seed: Long) = {
+      val m = 1 + Det.nextInt(Det.combine(seed, 1), 12)
+      val d = 1 + Det.nextInt(Det.combine(seed, 2), 28)
+      val y = 1990 + Det.nextInt(Det.combine(seed, 3), 35)
+      f"$y%04d-$m%02d-$d%02d"
+    }
+    def time(seed: Long) = {
+      val h = Det.nextInt(Det.combine(seed, 1), 24)
+      val m = Det.nextInt(Det.combine(seed, 2), 60)
+      val s = Det.nextInt(Det.combine(seed, 3), 60)
+      f"$h%02d:$m%02d:$s%02d"
+    }
+    def fiscalYear(seed: Long) = f"fy${10 + Det.nextInt(seed, 20)}%02d"
+    def alphaNumId(seed: Long) = {
+      val p = Det.pick(Det.combine(seed, 1), IndexedSeq("tt", "b", "num", "id", "po", "inv"))
+      val w = 5 + Det.nextInt(Det.combine(seed, 2), 4)
+      val n = Det.nextInt(Det.combine(seed, 3), 10000000)
+      p + (s"%0${w}d").format(n)
+    }
+    def zip(seed: Long) = f"${Det.nextInt(seed, 100000)}%05d"
+    def phone(seed: Long) = {
+      val a = 200 + Det.nextInt(Det.combine(seed, 1), 800)
+      val b = 100 + Det.nextInt(Det.combine(seed, 2), 900)
+      val c = Det.nextInt(Det.combine(seed, 3), 10000)
+      f"$a-$b-$c%04d"
+    }
+    (0 until 20000).map(i => Det.mix64(i.toLong)).foreach { s =>
+      assert(Vocab.genIsoDate(s) == isoDate(s))
+      assert(Vocab.genTime(s) == time(s))
+      assert(Vocab.genFiscalYear(s) == fiscalYear(s))
+      assert(Vocab.genAlphaNumId(s) == alphaNumId(s))
+      assert(Vocab.genZip(s) == zip(s))
+      assert(Vocab.genPhone(s) == phone(s))
+    }
+  }
+
+  test("caseJitter equals the split/mkString title-casing on spaced and unicode strings") {
+    def oldCaseJitter(v: String, seed: Long): String = {
+      val u = Det.uniform(Det.combine(seed, 0xcafeL))
+      if (u < 0.22) v.split(' ').map(w => if (w.isEmpty) w else s"${w.head.toUpper}${w.tail}").mkString(" ")
+      else if (u < 0.30) v.toUpperCase
+      else v
+    }
+    val piece = Gen.oneOf("a", "seattle", "new", "york", "\u00e9t\u00e9", "\u00df", "\u01c6x", "\u4e2d",
+      "\uD835\uDC00b", "\uD83D\uDE00", "1", "-", "\u0131", " ", "  ")
+    val str = Gen.choose(0, 8).flatMap(Gen.listOfN(_, piece)).map(_.mkString)
+    var titled = 0
+    val prop = Prop.forAll(str, Gen.choose(Long.MinValue, Long.MaxValue)) { (v, seed) =>
+      if (Det.uniform(Det.combine(seed, 0xcafeL)) < 0.22) titled += 1
+      CorpusGen.caseJitter(v, seed) == oldCaseJitter(v, seed)
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(9L)), prop)
+    assert(result.passed, result.status)
+    assert(titled > 500, s"title-case branch taken only $titled times")
+    Seq("", " ", "   ", " a", "a ", "a  b  ", "  new  york ").foreach { v =>
+      (0 until 200).foreach(i => assert(CorpusGen.caseJitter(v, i.toLong) == oldCaseJitter(v, i.toLong), s"'$v'"))
+    }
   }
 }

@@ -27,6 +27,18 @@ class DetSpec extends AnyFunSuite {
     assert(Det.combine(1L, 2L) != Det.combine(2L, 1L))
   }
 
+  test("fixed-arity combine is bit-equal to the varargs fold") {
+    val prop = Prop.forAll { (a: Long, b: Long, c: Long) =>
+      Det.combine(a, b) == Det.combine(Seq(a, b): _*) &&
+      Det.combine(a, b, c) == Det.combine(Seq(a, b, c): _*)
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(7L)), prop)
+    assert(result.passed, result.status)
+    assert(Det.combine(0L, 0L) == Det.combine(Seq(0L, 0L): _*))
+    assert(Det.combine(-1L, Long.MinValue, Long.MaxValue) == Det.combine(Seq(-1L, Long.MinValue, Long.MaxValue): _*))
+  }
+
   test("uniform in [0,1)") {
     seeds.foreach { s =>
       val u = Det.uniform(s)
