@@ -1,19 +1,19 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
-import repro.dists.EvalBank
 
 /** Candidate quality assessment over a corpus (paper Sec 5.2).
   *
   * For every candidate r we compute the Table 2 contingency table
-  * (covered × triggered over corpus columns) in one distributed pass:
-  * each partition builds one [[EvalBank]] over the plans' evaluators, walks
-  * its columns, profiles each evaluator's row of the column's distance matrix
-  * at its grid edges ([[ColumnProfile]]), derives (covered, triggered) for every
-  * candidate of that evaluator, and accumulates a flat count array; partials
-  * are combined with treeReduce. An empty column covers nothing and
+  * (covered × triggered over corpus columns) on the driver, from the
+  * corpus' [[ValueCodes]]: each column is a list of value ids, and per
+  * evaluator its codes are counted at the evaluator's grid edges
+  * ([[ColumnProfile.fromCodes]]), from which (covered, triggered) follows
+  * for every candidate of that evaluator. An empty column covers nothing and
   * triggers nothing, so it counts as ncnt and the four cells sum to |C|.
   *
   * The driver then applies the statistical gates — Cohen's h effect size,
@@ -64,42 +64,41 @@ object Assessment {
       corpusDirtyRate: Double = 0.02,
   )
 
-  /** Distributed contingency computation: returns a flat array with 4 slots
-    * per global candidate index: [ct, cnt, nct, ncnt].
+  /** Contingency counts of a corpus Dataset: a flat array with 4 slots per
+    * global candidate index, [ct, cnt, nct, ncnt]. The columns are collected
+    * and their codes built in one Spark job ([[ValueCodes]]); `AutoTest.train`
+    * shares one code table between [[count]] and the C_syn detections instead.
     */
   def contingency(spark: SparkSession, corpus: Dataset[TableColumn],
                   plans: IndexedSeq[EvalPlan]): Array[Long] = {
-    val nCand = CandidateGen.totalCandidates(plans)
-    val bcPlans = spark.sparkContext.broadcast(plans)
-    corpus.rdd
-      .mapPartitions { it =>
-        val local = new Array[Long](nCand * 4)
-        val ps = bcPlans.value
-        val bank = new EvalBank(ps.map(_.eval))
-        it.foreach { col => accumulateColumn(bank.distances(col.values.toArray), ps, local) }
-        Iterator.single(local)
-      }
-      .treeReduce { (a, b) =>
-        var i = 0
-        while (i < a.length) { a(i) += b(i); i += 1 }
-        a
-      }
+    val columns = corpus.collect().toIndexedSeq
+    count(columns, ValueCodes(spark, columns.iterator.flatMap(_.values), plans), plans)
   }
 
-  /** Update the flat count array with one column's contribution, given the
-    * column's distances under each plan's evaluator (one row per plan).
+  /** Contingency counts of `corpus`, every value of which has a code. The
+    * plans own disjoint count slots, so they are counted in parallel.
     */
-  private def accumulateColumn(dists: Array[Array[Double]], plans: IndexedSeq[EvalPlan],
-                               counts: Array[Long]): Unit = {
-    plans.indices.foreach { k =>
+  private[core] def count(corpus: Seq[TableColumn], codes: ValueCodes,
+                          plans: IndexedSeq[EvalPlan]): Array[Long] = {
+    val counts = new Array[Long](CandidateGen.totalCandidates(plans) * 4)
+    val columns = corpus.map(col => codes.ids(col.values)).toArray
+    IntStream.range(0, plans.size).parallel().forEach { k =>
       val plan = plans(k)
-      val profile = new ColumnProfile(dists(k), plan.thresholds)
-      plan.candidates.foreach { c =>
-        val slot = c.idx * 4 + (if (profile.covers(c.dInIdx, c.m)) 0 else 2) +
-          (if (profile.triggers(c.dOutIdx)) 0 else 1)
-        counts(slot) += 1
+      val row = codes.row(plan)
+      val nEdges = plan.thresholds.length
+      val cands = plan.candidates.toArray
+      columns.foreach { ids =>
+        val profile = ColumnProfile.fromCodes(row, ids, nEdges)
+        var j = 0
+        while (j < cands.length) {
+          val c = cands(j)
+          counts(c.idx * 4 + (if (profile.covers(c.dInIdx, c.m)) 0 else 2) +
+            (if (profile.triggers(c.dOutIdx)) 0 else 1)) += 1
+          j += 1
+        }
       }
     }
+    counts
   }
 
   /** Apply the Sec 5.2 statistical gates and calibrate confidence. */

@@ -115,6 +115,7 @@ object AutoTest {
   }
 
   def train(spark: SparkSession, corpus: Seq[TableColumn], cfg: AutoTestConfig = AutoTestConfig()): TrainedModel = {
+    require(corpus.size >= 2, s"training needs at least 2 corpus columns for C_syn, got ${corpus.size}")
     def timed[T](f: => T): (T, Double) = {
       val t0 = System.nanoTime()
       val r = f
@@ -122,17 +123,20 @@ object AutoTest {
     }
 
     // ---- candidate generation + statistical assessment -------------------
-    val ((assessed0, plans, registry, counts), tCand) = timed {
+    // One code per (evaluator, distinct corpus value), shared by the
+    // contingency pass and the C_syn detections: every C_syn value is a
+    // corpus value.
+    val ((assessed0, plans, registry, codes, counts), tCand) = timed {
       val centroids = sampleCentroids(corpus, cfg.nCentroids, cfg.seed)
       val corpusDf = ColumnStore.toDf(spark, corpus)
       val patterns = Patterns.minePatterns(ColumnStore.explode(corpusDf), topK = cfg.nPatterns)
       var registry = EvalRegistry.default(centroids, patterns)
       cfg.dropFamilies.foreach(f => registry = registry.dropFamily(f))
       val plans = CandidateGen.enumerate(registry)
-      import spark.implicits._
-      val counts = Assessment.contingency(spark, corpus.toDS(), plans)
+      val codes = ValueCodes(spark, corpus.iterator.flatMap(_.values), plans)
+      val counts = Assessment.count(corpus, codes, plans)
       val assessed = Assessment.assess(plans, counts, corpus.size.toLong, cfg.assessConfig)
-      (assessed, plans, registry, counts)
+      (assessed, plans, registry, codes, counts)
     }
 
     // ---- re-index surviving candidates for the recall pass ---------------
@@ -148,7 +152,7 @@ object AutoTest {
     // ---- distant-supervision detections ----------------------------------
     val (detections, tSyn) = timed {
       val syn = SynCorpus.generate(corpus, cfg.nSyn, Det.combine(cfg.seed, 0x5151))
-      SynCorpus.detections(spark, syn, assessedPlans)
+      SynCorpus.detect(syn, codes, assessedPlans)
     }
 
     // ---- CSS / FSS selection ---------------------------------------------

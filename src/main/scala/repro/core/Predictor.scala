@@ -41,14 +41,14 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends 
   def nPreConditions: Int = byEval.iterator.map(_._3.size).sum
 
   /** Calls `f` with each group of SDCs whose shared pre-condition holds on
-    * the column, together with that evaluator's profile of the column.
+    * the column, together with that evaluator's distances over the column.
     */
-  private def foreachCovered(values: Array[String])(f: (ColumnProfile, IndexedSeq[Sdc]) => Unit): Unit = {
+  private def foreachCovered(values: Array[String])(f: (Array[Double], IndexedSeq[Sdc]) => Unit): Unit = {
     val dists = bank.distances(values)
     byEval.indices.foreach { k =>
       val (_, edges, groups) = byEval(k)
       val profile = new ColumnProfile(dists(k), edges)
-      groups.foreach { case (edge, m, members) => if (profile.covers(edge, m)) f(profile, members) }
+      groups.foreach { case (edge, m, members) => if (profile.covers(edge, m)) f(dists(k), members) }
     }
   }
 
@@ -65,8 +65,7 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends 
   def predictColumn(values: Seq[String]): Map[String, Double] = {
     val arr = values.toArray
     val acc = scala.collection.mutable.Map.empty[String, Double]
-    foreachCovered(arr) { (profile, members) =>
-      val dists = profile.dists
+    foreachCovered(arr) { (dists, members) =>
       members.foreach { s =>
         var j = 0
         while (j < arr.length) {

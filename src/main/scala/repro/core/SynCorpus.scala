@@ -1,9 +1,10 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
-import repro.dists.EvalBank
 import repro.util.Det
 
 /** Distant-supervision recall estimation (paper Sec 5.3).
@@ -45,49 +46,43 @@ object SynCorpus {
     out.result()
   }
 
-  /** Distributed D(r): (synId, candIdx) detection pairs, in C_syn order.
-    *
-    * Synthetic columns that share a base column (same id and values) are
-    * decided together. Each partition builds one [[EvalBank]] over the plans'
-    * evaluators; per base column, one distance matrix covers the base values
-    * and every injected v^e. Per evaluator the base values are profiled once
-    * ([[ColumnProfile]]), and each synthetic column's candidates are decided
-    * from that profile plus its own v^e: pre-condition over the n+1 values
-    * ([[ColumnProfile.coversWith]]), post-condition on v^e.
+  /** D(r): (synId, candIdx) detection pairs, in C_syn order. The values of
+    * C_syn get their codes in one Spark job ([[ValueCodes]]); `AutoTest.train`
+    * reuses the corpus' code table through [[detect]] instead.
     */
   def detections(spark: SparkSession, syn: Seq[SynColumn],
-                 plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
-    // (base values, (position in syn, synId, v^e) per synthetic column)
-    val groups = syn.toIndexedSeq.zipWithIndex
-      .groupBy { case (sc, _) => (sc.baseColId, sc.baseValues) }
-      .toIndexedSeq
-      .map { case ((_, base), cols) => (base, cols.map { case (sc, pos) => (pos, sc.synId, sc.errValue) }) }
-      .sortBy(_._2.head._1)
-    val bcPlans = spark.sparkContext.broadcast(plans)
-    val rdd = spark.sparkContext.parallelize(groups,
-      math.max(1, math.min(64, groups.size / 16)))
-    val perColumn = rdd.mapPartitions { it =>
-      val ps = bcPlans.value
-      val bank = new EvalBank(ps.map(_.eval))
-      it.flatMap { case (base, cols) =>
-        val nBase = base.size
-        val dists = bank.distances((base ++ cols.map(_._3)).toArray)
-        val profiles = ps.indices.map(k => new ColumnProfile(java.util.Arrays.copyOf(dists(k), nBase), ps(k).thresholds))
-        cols.indices.iterator.map { j =>
-          val (pos, synId, _) = cols(j)
-          val hits = IndexedSeq.newBuilder[(Int, Int)]
-          ps.indices.foreach { k =>
-            val dErr = dists(k)(nBase + j)
-            ps(k).candidates.foreach { c =>
-              if (dErr > c.dOut && profiles(k).coversWith(dErr, c.dInIdx, c.m)) hits += ((synId, c.idx))
-            }
-          }
-          (pos, hits.result())
+                 plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] =
+    detect(syn, ValueCodes(spark, syn.iterator.flatMap(sc => sc.baseValues :+ sc.errValue), plans), plans)
+
+  /** D(r) from codes, every C_syn value having one. Per synthetic column and
+    * evaluator the base values are profiled ([[ColumnProfile.fromCodes]]) and
+    * each candidate is decided on v^e's code: post-condition `f_t(v^e) > d_out`,
+    * which is `code > dOutIdx` since d_out is the edge at dOutIdx, and
+    * pre-condition over the n+1 values ([[ColumnProfile.coversWith]]). The
+    * synthetic columns are decided in parallel and put back in C_syn order.
+    */
+  private[core] def detect(syn: Seq[SynColumn], codes: ValueCodes,
+                           plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
+    val rows = plans.map(codes.row)
+    // passing(k)(code): plan k's candidates whose post-condition holds on a v^e with that code
+    val passing = plans.map(p => Array.tabulate(p.thresholds.length + 1)(b => p.candidates.filter(_.dOutIdx < b)))
+    val cols = syn.toIndexedSeq
+    val hits = new Array[IndexedSeq[(Int, Int)]](cols.size)
+    IntStream.range(0, cols.size).parallel().forEach { i =>
+      val sc = cols(i)
+      val base = codes.ids(sc.baseValues)
+      val err = codes.id(sc.errValue)
+      val out = IndexedSeq.newBuilder[(Int, Int)]
+      plans.indices.foreach { k =>
+        val code = rows(k)(err).toInt
+        val cands = passing(k)(code)
+        if (cands.nonEmpty) {
+          val profile = ColumnProfile.fromCodes(rows(k), base, plans(k).thresholds.length)
+          cands.foreach { c => if (profile.coversWith(code, c.dInIdx, c.m)) out += ((sc.synId, c.idx)) }
         }
       }
-    }.collect()
-    val inOrder = new Array[IndexedSeq[(Int, Int)]](syn.size)
-    perColumn.foreach { case (pos, hits) => inOrder(pos) = hits }
-    inOrder.toIndexedSeq.flatten
+      hits(i) = out.result()
+    }
+    hits.toIndexedSeq.flatten
   }
 }

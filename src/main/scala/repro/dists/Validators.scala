@@ -1,5 +1,7 @@
 package repro.dists
 
+import java.util.regex.Pattern
+
 /** Function-based domain evaluation (paper Sec 3, method 4).
   *
   * Eight validation functions in the spirit of DataPrep / python-validators,
@@ -8,45 +10,42 @@ package repro.dists
   */
 object Validators {
 
+  // Each pattern is compiled once; the validators only run matchers on it.
+  private val DateSlash = "^(\\d{1,2})/(\\d{1,2})/(\\d{2}|\\d{4})$".r
+  private val DateIso   = "^(\\d{4})-(\\d{1,2})-(\\d{1,2})$".r
+  private val Hms       = "^(\\d{1,2}):(\\d{2})(?::(\\d{2}))?$".r
+  private val Url       = Pattern.compile("^https?://[a-z0-9][a-z0-9.-]*\\.[a-z]{2,}(?::\\d+)?(?:/[^\\s]*)?$")
+  private val Email     = Pattern.compile("^[a-z0-9][a-z0-9._%+-]*@[a-z0-9][a-z0-9.-]*\\.[a-z]{2,}$")
+  private val CardSep   = Pattern.compile("[ -]")
+  private val Number    = Pattern.compile("^[+-]?(\\d+(\\.\\d*)?|\\.\\d+)([eE][+-]?\\d+)?$")
+  private val Phone     = Pattern.compile("^(\\+?1[ .-]?)?(\\(\\d{3}\\)|\\d{3})[ .-]?\\d{3}[ .-]?\\d{4}$")
+  private val MonthDays = Array(31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
   /** M/d/yyyy, M/d/yy, or yyyy-MM-dd with real calendar bounds. */
   def validateDate(raw: String): Boolean = {
     val v = DomainEval.normalize(raw)
-    val slash = "^(\\d{1,2})/(\\d{1,2})/(\\d{2}|\\d{4})$".r
-    val iso   = "^(\\d{4})-(\\d{1,2})-(\\d{1,2})$".r
     def ok(y: Int, m: Int, d: Int): Boolean = {
       if (m < 1 || m > 12 || d < 1) return false
       val leap = (y % 4 == 0 && y % 100 != 0) || y % 400 == 0
-      val days = Seq(31, if (leap) 29 else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-      d <= days(m - 1)
+      d <= (if (m == 2 && leap) 29 else MonthDays(m - 1))
     }
     v match {
-      case slash(m, d, y) =>
+      case DateSlash(m, d, y) =>
         val year = if (y.length == 2) 1900 + y.toInt else y.toInt
         ok(year, m.toInt, d.toInt)
-      case iso(y, m, d) => ok(y.toInt, m.toInt, d.toInt)
-      case _            => false
+      case DateIso(y, m, d) => ok(y.toInt, m.toInt, d.toInt)
+      case _                => false
     }
   }
 
-  def validateTime(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
-    val hms = "^(\\d{1,2}):(\\d{2})(?::(\\d{2}))?$".r
-    v match {
-      case hms(h, m, s) =>
-        h.toInt < 24 && m.toInt < 60 && (s == null || s.toInt < 60)
-      case _ => false
-    }
+  def validateTime(raw: String): Boolean = DomainEval.normalize(raw) match {
+    case Hms(h, m, s) => h.toInt < 24 && m.toInt < 60 && (s == null || s.toInt < 60)
+    case _            => false
   }
 
-  def validateUrl(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
-    v.matches("^https?://[a-z0-9][a-z0-9.-]*\\.[a-z]{2,}(?::\\d+)?(?:/[^\\s]*)?$")
-  }
+  def validateUrl(raw: String): Boolean = Url.matcher(DomainEval.normalize(raw)).matches()
 
-  def validateEmail(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
-    v.matches("^[a-z0-9][a-z0-9._%+-]*@[a-z0-9][a-z0-9.-]*\\.[a-z]{2,}$")
-  }
+  def validateEmail(raw: String): Boolean = Email.matcher(DomainEval.normalize(raw)).matches()
 
   def validateIp(raw: String): Boolean = {
     val v = DomainEval.normalize(raw)
@@ -59,7 +58,7 @@ object Validators {
 
   /** Luhn checksum over 13–19 digits (credit-card numbers, paper's [2]). */
   def validateCreditCard(raw: String): Boolean = {
-    val digits = DomainEval.normalize(raw).replaceAll("[ -]", "")
+    val digits = CardSep.matcher(DomainEval.normalize(raw)).replaceAll("")
     if (digits.length < 13 || digits.length > 19 || !digits.forall(_.isDigit)) return false
     var sum = 0
     var double = false
@@ -76,13 +75,10 @@ object Validators {
 
   def validateNumber(raw: String): Boolean = {
     val v = DomainEval.normalize(raw).replace(",", "")
-    v.nonEmpty && v.matches("^[+-]?(\\d+(\\.\\d*)?|\\.\\d+)([eE][+-]?\\d+)?$")
+    v.nonEmpty && Number.matcher(v).matches()
   }
 
-  def validatePhone(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
-    v.matches("^(\\+?1[ .-]?)?(\\(\\d{3}\\)|\\d{3})[ .-]?\\d{3}[ .-]?\\d{4}$")
-  }
+  def validatePhone(raw: String): Boolean = Phone.matcher(DomainEval.normalize(raw)).matches()
 
   /** The 8 validation functions, named as in the paper's examples. */
   val all: IndexedSeq[(String, String => Boolean)] = IndexedSeq(

@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.corpus.{BenchGen, CorpusGen, TableColumn}
 import repro.eval.PrCurve
+import repro.util.Det
 
 /** End-to-end offline training + online prediction on small-scale data.
   * This is the integration test for the whole Fig 5 pipeline; the bench
@@ -24,6 +25,23 @@ class AutoTestSpec extends SparkSpec {
     val centroids = AutoTest.sampleCentroids(cols, 2, 42)
     assert(centroids.nonEmpty && centroids.forall(Set("x", "y")))
     assert(AutoTest.sampleCentroids(cols.tail, 2, 42).isEmpty)
+  }
+
+  test("training rejects an empty corpus, naming the column count") {
+    val e = intercept[IllegalArgumentException](AutoTest.train(spark, Nil, cfg))
+    assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 0"))
+  }
+
+  test("training rejects a one-column corpus, naming the column count") {
+    val e = intercept[IllegalArgumentException](AutoTest.train(spark, corpus.take(1), cfg))
+    assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 1"))
+  }
+
+  test("shared-code contingency and detections equal the standalone passes") {
+    import spark.implicits._
+    assert(model.contingencyCounts.toSeq == Assessment.contingency(spark, corpus.toDS(), model.allPlans).toSeq)
+    val syn = SynCorpus.generate(corpus, cfg.nSyn, Det.combine(cfg.seed, 0x5151))
+    assert(model.detections == SynCorpus.detections(spark, syn, model.assessedPlans))
   }
 
   test("training produces a non-trivial R_all across multiple families") {

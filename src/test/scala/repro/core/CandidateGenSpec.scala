@@ -58,7 +58,7 @@ class CandidateGenSpec extends AnyFunSuite {
   private val profile = new ColumnProfile(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts)
 
   test("histogram bins distances at grid edges") {
-    val cumulative = ts.indices.map(profile.within) :+ profile.dists.length
+    val cumulative = ts.indices.map(profile.within) :+ profile.size
     val bins = cumulative.head +: cumulative.sliding(2).map(w => w(1) - w(0)).toSeq
     // bin semantics: (-inf,0.5], (0.5,1.0], (1.0,2.0], (2.0,inf)
     assert(bins == Seq(2, 2, 1, 1))

@@ -41,7 +41,7 @@ class ColumnProfileSpec extends AnyFunSuite {
     val prop = Prop.forAll(genBase, genEdges, genM, genD) { (dists, edges, m, d) =>
       val base = new ColumnProfile(dists, edges)
       val full = new ColumnProfile(dists :+ d, edges)
-      edges.indices.forall(i => base.coversWith(d, i, m) == full.covers(i, m))
+      edges.indices.forall(i => base.coversWith(ColumnProfile.bucket(d, edges), i, m) == full.covers(i, m))
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(43L)), prop)
@@ -49,9 +49,56 @@ class ColumnProfileSpec extends AnyFunSuite {
   }
 
   test("coversWith on an empty base decides the extra value alone") {
-    val empty = new ColumnProfile(Array.emptyDoubleArray, Array(0.5, 1.0))
-    assert(empty.coversWith(0.5, 0, 1.0))   // on the edge counts as within
-    assert(!empty.coversWith(0.75, 0, 0.5))
-    assert(empty.coversWith(0.75, 1, 1.0))
+    val edges = Array(0.5, 1.0)
+    val empty = new ColumnProfile(Array.emptyDoubleArray, edges)
+    def code(d: Double) = ColumnProfile.bucket(d, edges)
+    assert(empty.coversWith(code(0.5), 0, 1.0))   // on the edge counts as within
+    assert(!empty.coversWith(code(0.75), 0, 0.5))
+    assert(empty.coversWith(code(0.75), 1, 1.0))
+  }
+
+  test("edge-bucket codes decide every predicate as the distances do") {
+    val specials = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0, -1.0)
+    // Up to 8 sorted, distinct edges, as CandidateGen.thresholds gives.
+    val genEdges8: Gen[Array[Double]] =
+      Gen.atLeastOne(Seq(0.0, 0.15, 0.5, 0.8, 1.0, 1.6, 2.0, 4.0, 6.0, 8.0))
+        .map(_.take(8).toArray.sorted)
+    val genCase = for {
+      edges <- genEdges8
+      genD = Gen.frequency(3 -> Gen.oneOf(edges.toSeq), 2 -> Gen.oneOf(specials), 2 -> Gen.choose(-1.0, 9.0))
+      dict  <- Gen.nonEmptyListOf(genD).map(_.toArray)  // distance of each value id
+      ids   <- Gen.listOf(Gen.choose(0, dict.length - 1)).map(_.toArray)
+      extra <- Gen.choose(0, dict.length - 1)
+      m     <- genM
+    } yield (edges, dict, ids, extra, m)
+    val prop = Prop.forAll(genCase) { case (edges, dict, ids, extra, m) =>
+      val codes = dict.map(d => ColumnProfile.bucket(d, edges).toByte)
+      val byCode = ColumnProfile.fromCodes(codes, ids, edges.length)
+      val dists = ids.map(dict)
+      val byDist = new ColumnProfile(dists, edges)
+      val withExtra = new ColumnProfile(dists :+ dict(extra), edges)
+      dict.forall(d => edges.indices.forall(k => (d > edges(k)) == (ColumnProfile.bucket(d, edges) > k))) &&
+      byCode.size == byDist.size &&
+      edges.indices.forall { i =>
+        byCode.covers(i, m) == byDist.covers(i, m) &&
+        byCode.triggers(i) == byDist.triggers(i) &&
+        byCode.coversWith(codes(extra), i, m) == withExtra.covers(i, m) &&
+        byCode.coversWith(codes(extra), i, m) == byDist.coversWith(ColumnProfile.bucket(dict(extra), edges), i, m)
+      }
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(44L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("NaN, infinities, -0.0 and values on an edge get the expected bucket") {
+    val edges = Array(0.0, 0.5, 1.0)
+    assert(ColumnProfile.bucket(Double.NaN, edges) == 0)
+    assert(ColumnProfile.bucket(Double.NegativeInfinity, edges) == 0)
+    assert(ColumnProfile.bucket(-1.0, edges) == 0)
+    assert(ColumnProfile.bucket(-0.0, edges) == 0)
+    assert(edges.indices.forall(k => ColumnProfile.bucket(edges(k), edges) == k))
+    assert(ColumnProfile.bucket(Double.PositiveInfinity, edges) == edges.length)
+    assert(ColumnProfile.bucket(0.75, Array.emptyDoubleArray) == 0)
   }
 }
