@@ -84,7 +84,7 @@ object Assessment {
     val columns = corpus.map(col => codes.ids(col.values)).toArray
     IntStream.range(0, plans.size).parallel().forEach { k =>
       val plan = plans(k)
-      val row = codes.row(plan)
+      val row = codes.row(plan.eval)
       val nEdges = plan.thresholds.length
       val cands = plan.candidates.toArray
       columns.foreach { ids =>

@@ -13,8 +13,8 @@ package repro.core
   * A value enters the histogram as its edge-bucket code
   * ([[ColumnProfile.bucket]]). Since `d > edges(k)` holds exactly when
   * `bucket(d) > k`, the code is all Definition 2 needs of a distance: the
-  * corpus passes count codes looked up by value id ([[ColumnProfile.fromCodes]]),
-  * prediction counts the distances of one [[repro.dists.EvalBank]] row.
+  * corpus passes and prediction count codes looked up by value id
+  * ([[ColumnProfile.fromCodes]]).
   */
 final class ColumnProfile private (cumulative: Array[Int]) {
 

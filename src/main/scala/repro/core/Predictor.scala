@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
 import repro.dists.{DomainEval, EvalBank, EvalRegistry}
@@ -12,89 +14,140 @@ final case class Prediction(colId: String, value: String, confidence: Double)
 /** An executable set of SDCs (the online-prediction stage, paper Fig 5).
   *
   * Applies the Appendix B.2 optimisation: SDCs sharing a pre-condition
-  * (evalId, d_in, m) are grouped so each pre-condition — and each
-  * evaluator's distance vector — is computed once per column, all of them
-  * by one [[EvalBank]].
+  * (evalId, d_in, m) are grouped so each pre-condition is decided once per
+  * column. Each evaluator's edges are the sorted, distinct d_in and d_out of
+  * its SDCs, so a value's edge-bucket code decides both conditions
+  * (DESIGN §5): one kernel decides a column from codes, whether
+  * [[predictColumn]] computes them with its own [[EvalBank]] or
+  * [[Predictor.predict]] looks them up in a batch's [[ValueCodes]].
   */
-final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) extends Serializable {
+final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
-  /** evaluator -> its sorted distinct d_in edges -> pre-condition groups
-    * (d_in edge index, m) -> member SDCs
-    */
-  private val byEval: IndexedSeq[(DomainEval, Array[Double], IndexedSeq[(Int, Double, IndexedSeq[Sdc])])] =
+  import SdcModel.{Group, Rules}
+
+  private val byEval: IndexedSeq[Rules] =
     sdcs.groupBy(_.evalId).toIndexedSeq.sortBy(_._1).map { case (evalId, ss) =>
       val eval = registry.byId.getOrElse(evalId,
         throw new IllegalArgumentException(s"model references unknown evaluator $evalId"))
-      val edges = ss.map(_.dIn).distinct.sorted.toArray
+      val edges = ss.flatMap(s => Seq(s.dIn, s.dOut)).distinct.sorted.toArray
+      ValueCodes.requireByteCodes(eval, edges.length)
       val groups = ss.groupBy(s => (s.dIn, s.m)).toIndexedSeq.sortBy(_._1).map {
-        case ((dIn, m), members) => (edges.indexOf(dIn), m, members)
+        case ((dIn, m), members) => Group(edges.indexOf(dIn), m, members, members.map(s => edges.indexOf(s.dOut)).toArray)
       }
-      (eval, edges, groups)
+      Rules(eval, edges, groups)
     }
 
-  /** One bank over byEval's evaluators, in byEval order. */
-  private val bank = new EvalBank(byEval.map(_._1))
+  /** The evaluators the SDCs reference, and each one's edges, in kernel order. */
+  private[core] val evals: IndexedSeq[DomainEval] = byEval.map(_.eval)
+  private[core] val edges: IndexedSeq[Array[Double]] = byEval.map(_.edges)
+
+  /** Built on the first single-column call: batch prediction codes its
+    * values with the bank of its codes job instead.
+    */
+  private lazy val bank = new EvalBank(evals)
 
   def size: Int = sdcs.size
 
   /** Distinct pre-conditions after dedup (latency driver, Appendix B.2). */
-  def nPreConditions: Int = byEval.iterator.map(_._3.size).sum
+  def nPreConditions: Int = byEval.iterator.map(_.groups.size).sum
 
-  /** Calls `f` with each group of SDCs whose shared pre-condition holds on
-    * the column, together with that evaluator's distances over the column.
-    */
-  private def foreachCovered(values: Array[String])(f: (Array[Double], IndexedSeq[Sdc]) => Unit): Unit = {
+  /** Codes of a column's own values, one row per evaluator, indexed by position. */
+  private def codes(values: Array[String]): IndexedSeq[Array[Byte]] = {
     val dists = bank.distances(values)
-    byEval.indices.foreach { k =>
-      val (_, edges, groups) = byEval(k)
-      val profile = new ColumnProfile(dists(k), edges)
-      groups.foreach { case (edge, m, members) => if (profile.covers(edge, m)) f(dists(k), members) }
+    byEval.indices.map { k =>
+      val row = new Array[Byte](values.length)
+      ValueCodes.encode(dists(k), edges(k), row, 0)
+      row
     }
+  }
+
+  /** Calls `f` with each pre-condition group that holds on a column, and
+    * with its evaluator's codes. The column is given as value ids into
+    * `codes(k)`, the codes of evaluator k.
+    */
+  private def foreachCovered(ids: Array[Int], codes: IndexedSeq[Array[Byte]])(f: (Array[Byte], Group) => Unit): Unit =
+    byEval.indices.foreach { k =>
+      val rules = byEval(k)
+      val profile = ColumnProfile.fromCodes(codes(k), ids, rules.edges.length)
+      rules.groups.foreach(g => if (profile.covers(g.dInIdx, g.m)) f(codes(k), g))
+    }
+
+  /** The prediction kernel: flagged value -> max confidence over the SDCs
+    * that trigger on it, for the column `values` whose ids in `codes` are `ids`.
+    */
+  private[core] def decide(values: Array[String], ids: Array[Int],
+                           codes: IndexedSeq[Array[Byte]]): Map[String, Double] = {
+    val acc = scala.collection.mutable.Map.empty[String, Double]
+    foreachCovered(ids, codes) { (row, g) =>
+      var i = 0
+      while (i < g.sdcs.size) {
+        val conf = g.sdcs(i).confidence
+        val dOutIdx = g.dOutIdx(i)
+        var j = 0
+        while (j < ids.length) {
+          if (row(ids(j)) > dOutIdx) {
+            val v = values(j)
+            if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
+          }
+          j += 1
+        }
+        i += 1
+      }
+    }
+    acc.toMap
   }
 
   /** SDCs whose pre-condition holds on the column (the "covered by" relation
     * of Sec 5.2 — used for Table 9's column-level coverage reporting).
     */
   def coveringSdcs(values: Seq[String]): IndexedSeq[Sdc] = {
+    val arr = values.toArray
     val out = IndexedSeq.newBuilder[Sdc]
-    foreachCovered(values.toArray)((_, members) => out ++= members)
+    foreachCovered(Array.range(0, arr.length), codes(arr))((_, g) => out ++= g.sdcs)
     out.result()
   }
 
   /** Predict errors in one column: flagged value -> max confidence. */
   def predictColumn(values: Seq[String]): Map[String, Double] = {
     val arr = values.toArray
-    val acc = scala.collection.mutable.Map.empty[String, Double]
-    foreachCovered(arr) { (dists, members) =>
-      members.foreach { s =>
-        var j = 0
-        while (j < arr.length) {
-          if (dists(j) > s.dOut) {
-            val v = arr(j)
-            if (acc.getOrElse(v, -1.0) < s.confidence) acc(v) = s.confidence
-          }
-          j += 1
-        }
-      }
-    }
-    acc.toMap
+    decide(arr, Array.range(0, arr.length), codes(arr))
   }
+}
+
+object SdcModel {
+
+  /** SDCs sharing the pre-condition (d_in, m), with each one's d_out, as
+    * indices into their evaluator's edges.
+    */
+  private final case class Group(dInIdx: Int, m: Double, sdcs: IndexedSeq[Sdc], dOutIdx: Array[Int])
+
+  /** One evaluator's sorted, distinct edges and its pre-condition groups. */
+  private final case class Rules(eval: DomainEval, edges: Array[Double], groups: IndexedSeq[Group])
 }
 
 object Predictor {
 
-  def predictLocal(model: SdcModel, col: TableColumn): Seq[Prediction] =
-    model.predictColumn(col.values).toSeq.map { case (v, c) => Prediction(col.colId, v, c) }
+  /** Batch prediction over many columns. The distinct values of all columns
+    * get their codes at the model's edges in one Spark job ([[ValueCodes]]);
+    * the columns are then decided on the driver, in parallel, by the kernel
+    * of [[SdcModel.predictColumn]]. The predictions come in column order,
+    * each column's in the order `predictColumn` returns them.
+    */
+  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+    predict(spark, model, cols, nSlices = 0)
 
-  /** Distributed prediction over many columns. */
-  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
-    val bc = spark.sparkContext.broadcast(model)
-    spark.sparkContext
-      .parallelize(cols, math.max(1, math.min(64, cols.size / 16)))
-      .flatMap { col =>
-        bc.value.predictColumn(col.values).map { case (v, c) => Prediction(col.colId, v, c) }
-      }
-      .collect()
-      .toIndexedSeq
+  /** [[predict]] with the codes job over `nSlices` partitions (0: default). */
+  private[core] def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn],
+                            nSlices: Int): IndexedSeq[Prediction] = {
+    val codes = ValueCodes(spark, cols.iterator.flatMap(_.values), model.evals, model.edges, nSlices)
+    val rows = model.evals.map(codes.row)
+    val columns = cols.toIndexedSeq
+    val byCol = new Array[Iterable[Prediction]](columns.size)
+    IntStream.range(0, columns.size).parallel().forEach { i =>
+      val col = columns(i)
+      byCol(i) = model.decide(col.values.toArray, codes.ids(col.values), rows)
+        .map { case (v, c) => Prediction(col.colId, v, c) }
+    }
+    byCol.iterator.flatten.toIndexedSeq
   }
 }

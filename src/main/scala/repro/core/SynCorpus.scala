@@ -63,7 +63,7 @@ object SynCorpus {
     */
   private[core] def detect(syn: Seq[SynColumn], codes: ValueCodes,
                            plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
-    val rows = plans.map(codes.row)
+    val rows = plans.map(p => codes.row(p.eval))
     // passing(k)(code): plan k's candidates whose post-condition holds on a v^e with that code
     val passing = plans.map(p => Array.tabulate(p.thresholds.length + 1)(b => p.candidates.filter(_.dOutIdx < b)))
     val cols = syn.toIndexedSeq

@@ -21,41 +21,37 @@ import repro.util.Det
   */
 final class CtaClassifier private (
     val id: String,
-    trainSet: Set[String],
-    fullSet: Set[String],
-    triLogOdds: Map[String, Double],
-    jitterSeed: Long,
+    private[dists] val trainSet: Set[String],
+    private[dists] val fullSet: Set[String],
+    private[dists] val triLogOdds: Map[String, Double],
+    private[dists] val jitterSeed: Long,
 ) extends DomainEval {
 
   override def family: String = DomainEval.Cta
 
+  /** This classifier alone, the path of every per-value call. */
+  @transient private lazy val alone = new CtaClassifier.Bank(IndexedSeq(this))
+
   /** Classifier similarity score in [0, 1]. */
-  def score(raw: String): Double = {
-    val v = DomainEval.normalize(raw)
-    if (v.isEmpty) return 0.0
-    val base =
-      if (trainSet.contains(v)) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, Det.hashString(v)))
-      else if (fullSet.contains(v)) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, Det.hashString(v)))
-      else 0.5 * trigramScore(v)
-    // Per-value calibration noise: real neural CTA classifiers are not
-    // cleanly banded per value, which is what defeats naive per-value
-    // z-score thresholding (Example 2).
-    val noise = 0.16 * (Det.uniform(Det.combine(jitterSeed, 0x3, Det.hashString(v))) - 0.5)
-    math.min(1.0, math.max(0.0, base + noise))
-  }
+  def score(raw: String): Double = alone.scores(Array(raw))(0)(0)
 
   override def distance(v: String): Double = 1.0 - score(v)
 
-  /** Mean trigram log-likelihood-ratio vs background, squashed to [0, 1]. */
-  private def trigramScore(v: String): Double = {
-    val grams = CtaClassifier.trigrams(v)
-    if (grams.isEmpty) 0.0
-    else {
-      var s = 0.0
-      grams.foreach(g => s += triLogOdds.getOrElse(g, CtaClassifier.UnseenLogOdds))
-      val avg = s / grams.size
-      1.0 / (1.0 + math.exp(-avg)) // logistic squash of the average LLR
-    }
+  /** Score of the value with features `f`, whose trigrams' log-odds under
+    * this classifier sum to `llrSum`.
+    */
+  private def scoreOf(f: CtaClassifier.Features, llrSum: Double): Double = {
+    val v = f.value
+    if (v.isEmpty) return 0.0
+    val base =
+      if (trainSet.contains(v)) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, f.hash))
+      else if (fullSet.contains(v)) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, f.hash))
+      else 0.5 * (1.0 / (1.0 + math.exp(-(llrSum / f.grams.length)))) // logistic squash of the mean trigram LLR
+    // Per-value calibration noise: real neural CTA classifiers are not
+    // cleanly banded per value, which is what defeats naive per-value
+    // z-score thresholding (Example 2).
+    val noise = 0.16 * (Det.uniform(Det.combine(jitterSeed, 0x3, f.hash)) - 0.5)
+    math.min(1.0, math.max(0.0, base + noise))
   }
 }
 
@@ -63,6 +59,61 @@ object CtaClassifier {
 
   /** LLR assigned to trigrams never seen in the type's vocabulary. */
   val UnseenLogOdds: Double = -4.0
+
+  /** What every classifier reads of a value: its normalized form, that
+    * form's hash and its trigrams (none for the empty value, which scores 0).
+    */
+  private final class Features(val value: String, val hash: Long, val grams: Array[String])
+
+  private def features(raw: String): Features = {
+    val v = DomainEval.normalize(raw)
+    if (v.isEmpty) new Features(v, 0L, Array.empty)
+    else new Features(v, Det.hashString(v), trigrams(v).toArray)
+  }
+
+  /** Classifiers scored together: each value's [[Features]] are computed
+    * once, and each of its trigrams is looked up once for all of them.
+    * Every score, a single classifier's included, is computed here.
+    */
+  private[dists] final class Bank(classifiers: IndexedSeq[CtaClassifier]) {
+
+    /** trigram -> its log-odds under each classifier, [[UnseenLogOdds]]
+      * where that classifier never saw it.
+      */
+    private val logOdds: java.util.HashMap[String, Array[Double]] = {
+      val m = new java.util.HashMap[String, Array[Double]]()
+      classifiers.indices.foreach { k =>
+        classifiers(k).triLogOdds.foreach { case (g, llr) =>
+          m.computeIfAbsent(g, _ => Array.fill(classifiers.size)(UnseenLogOdds))(k) = llr
+        }
+      }
+      m
+    }
+
+    private val unseen: Array[Double] = Array.fill(classifiers.size)(UnseenLogOdds)
+
+    /** classifiers × values score matrix. */
+    def scores(values: Array[String]): Array[Array[Double]] = {
+      val out = Array.fill(classifiers.size)(new Array[Double](values.length))
+      val sums = new Array[Double](classifiers.size)
+      var j = 0
+      while (j < values.length) {
+        val f = features(values(j))
+        java.util.Arrays.fill(sums, 0.0)
+        var g = 0
+        while (g < f.grams.length) {
+          val llr = logOdds.getOrDefault(f.grams(g), unseen)
+          var k = 0
+          while (k < sums.length) { sums(k) += llr(k); k += 1 }
+          g += 1
+        }
+        var k = 0
+        while (k < sums.length) { out(k)(j) = classifiers(k).scoreOf(f, sums(k)); k += 1 }
+        j += 1
+      }
+      out
+    }
+  }
 
   /** Character trigrams over "^value$" (boundary-marked). */
   def trigrams(v: String): Seq[String] = {

@@ -8,9 +8,11 @@ import repro.linalg.LinAlg
   * Embedding evaluators (Sec 5.1: the distance from v to one sampled
   * centroid value) are grouped by their embedding model, so each value is
   * embedded once per model and then compared against every centroid of that
-  * model. Every other evaluator calls [[DomainEval.distance]] per value.
+  * model. CTA classifiers are scored together by one [[CtaClassifier.Bank]]:
+  * each value is normalized, hashed and split into trigrams once for all of
+  * them. Every other evaluator calls [[DomainEval.distance]] per value.
   */
-final class EvalBank(evals: IndexedSeq[DomainEval]) extends Serializable {
+final class EvalBank(evals: IndexedSeq[DomainEval]) {
 
   /** Each embedding model with the evaluator rows and centroid vectors it
     * serves, in first-appearance order.
@@ -23,8 +25,16 @@ final class EvalBank(evals: IndexedSeq[DomainEval]) extends Serializable {
     }
   }
 
-  private val perValue: Array[Int] =
-    evals.indices.filterNot(i => evals(i).isInstanceOf[EmbeddingCentroidEval]).toArray
+  /** The rows of the CTA classifiers, and their bank. */
+  private val (ctaRows, ctaBank): (Array[Int], CtaClassifier.Bank) = {
+    val c = evals.zipWithIndex.collect { case (e: CtaClassifier, i) => (i, e) }
+    (c.map(_._1).toArray, new CtaClassifier.Bank(c.map(_._2)))
+  }
+
+  private val perValue: Array[Int] = evals.indices.filter(i => evals(i) match {
+    case _: EmbeddingCentroidEval | _: CtaClassifier => false
+    case _                                           => true
+  }).toArray
 
   /** evaluators × values distance matrix. */
   def distances(values: Array[String]): Array[Array[Double]] = {
@@ -34,6 +44,16 @@ final class EvalBank(evals: IndexedSeq[DomainEval]) extends Serializable {
       val e = evals(i); val row = out(i)
       var j = 0
       while (j < n) { row(j) = e.distance(values(j)); j += 1 }
+    }
+    if (ctaRows.nonEmpty) {
+      val scores = ctaBank.scores(values)
+      var k = 0
+      while (k < ctaRows.length) {
+        val s = scores(k); val row = out(ctaRows(k))
+        var j = 0
+        while (j < n) { row(j) = 1.0 - s(j); j += 1 }
+        k += 1
+      }
     }
     byModel.foreach { case (emb, rows, centroids) =>
       var j = 0

@@ -36,7 +36,7 @@ final class SynthEmbedding private (
       phraseVecs.get(v) match {
         case Some(p) => p
         case None =>
-          val toks = v.split("\\s+").filter(_.nonEmpty)
+          val toks = SynthEmbedding.tokenize(v)
           if (toks.isEmpty) oovVector(v)
           else {
             val acc = new Array[Double](dim)
@@ -63,6 +63,14 @@ final class SynthEmbedding private (
 object SynthEmbedding {
 
   val Dim = 16
+
+  private val Whitespace = java.util.regex.Pattern.compile("\\s+")
+
+  /** The whitespace-separated tokens of `s`: `s.split("\\s+")` without
+    * recompiling the pattern, empty tokens dropped.
+    */
+  private[dists] def tokenize(s: String): Array[String] = Whitespace.split(s, 0).filter(_.nonEmpty)
+
   private val CentroidSigma = 1.6
   private val OovSigma      = 1.8
 
@@ -87,7 +95,7 @@ object SynthEmbedding {
     val tokens = scala.collection.mutable.Map.empty[String, Array[Double]]
     domains.foreach { d =>
       d.common.foreach { w =>
-        w.split("\\s+").filter(_.nonEmpty).foreach { tok =>
+        tokenize(w).foreach { tok =>
           // First domain to claim a token wins (e.g. "georgia" state/country).
           if (!tokens.contains(tok))
             tokens(tok) = noisyWord("glove", d.name, tok, sigma = 0.40, hardFrac = 0.10)
@@ -105,7 +113,7 @@ object SynthEmbedding {
       d.all.foreach { w =>
         if (!phrases.contains(w))
           phrases(w) = noisyWord("sbert", d.name, w, sigma = 0.25, hardFrac = 0.08)
-        w.split("\\s+").filter(_.nonEmpty).foreach { tok =>
+        tokenize(w).foreach { tok =>
           if (!tokens.contains(tok))
             tokens(tok) = noisyWord("sbert", d.name, tok, sigma = 0.30, hardFrac = 0.08)
         }

@@ -31,6 +31,10 @@ class PredictorSpec extends SparkSpec {
   private def col(id: String, vals: Seq[String], errs: Seq[String] = Nil) =
     TableColumn(id, "d", vals, errs, vals.size.toLong)
 
+  /** Single-column prediction wrapped with the column id. */
+  private def predictLocal(model: SdcModel, col: TableColumn): Seq[Prediction] =
+    model.predictColumn(col.values).toSeq.map { case (v, c) => Prediction(col.colId, v, c) }
+
   test("pre-condition dedup collapses shared (evalId, dIn, m) groups") {
     assert(model.size == 5)
     assert(model.nPreConditions == 5) // the two emb variants differ in m
@@ -76,7 +80,7 @@ class PredictorSpec extends SparkSpec {
   }
 
   test("predictLocal wraps predictions with the column id") {
-    val preds = Predictor.predictLocal(model, col("k", (1 to 19).map(j => s"$j oz") :+ "bad!"))
+    val preds = predictLocal(model, col("k", (1 to 19).map(j => s"$j oz") :+ "bad!"))
     assert(preds.map(_.colId).toSet == Set("k"))
     assert(preds.map(_.value) == Seq("bad!"))
   }
@@ -87,7 +91,7 @@ class PredictorSpec extends SparkSpec {
       col("b", (1 to 12).map(j => s"$j/10/2020") :+ "nope"),
       col("c", Seq("alpha", "beta", "gamma", "delta", "epsilon")))
     val dist = Predictor.predict(spark, model, cols).toSet
-    val local = cols.flatMap(c => Predictor.predictLocal(model, c)).toSet
+    val local = cols.flatMap(c => predictLocal(model, c)).toSet
     assert(dist == local)
   }
 

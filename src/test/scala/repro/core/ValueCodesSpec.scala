@@ -75,7 +75,7 @@ class ValueCodesSpec extends SparkSpec {
     val distinct = values.distinct
     val codes = ValueCodes(spark, values, plans)
     assert(codes.ids(distinct).toSeq == distinct.indices)
-    assert(plans.forall(p => codes.row(p).length == distinct.size))
+    assert(plans.forall(p => codes.row(p.eval).length == distinct.size))
     assert(Seq(null, "", "January", "january", " january ").map(codes.id).distinct.size == 5)
     assertThrows[NoSuchElementException](codes.id("not a corpus value"))
   }
@@ -84,11 +84,11 @@ class ValueCodesSpec extends SparkSpec {
     val values = corpus.flatMap(_.values)
     val bySlices = Seq(1, 3, 16).map { n =>
       val codes = ValueCodes(spark, values, plans, nSlices = n)
-      plans.map(p => codes.row(p).toSeq)
+      plans.map(p => codes.row(p.eval).toSeq)
     }
     assert(bySlices.distinct.size == 1)
     val default = ValueCodes(spark, values, plans)
-    assert(plans.map(p => default.row(p).toSeq) == bySlices.head)
+    assert(plans.map(p => default.row(p.eval).toSeq) == bySlices.head)
   }
 
   test("the codes job evaluates each distinct value once per evaluator") {
@@ -103,15 +103,34 @@ class ValueCodesSpec extends SparkSpec {
     // NaN (here: null) lands in bucket 0; the rest at the 0/0.5 function edges.
     countPlans.foreach { p =>
       distinct.foreach { v =>
-        assert(codes.row(p)(codes.id(v)) == ColumnProfile.bucket(p.eval.distance(v), p.thresholds))
+        assert(codes.row(p.eval)(codes.id(v)) == ColumnProfile.bucket(p.eval.distance(v), p.thresholds))
       }
     }
   }
 
   test("no values make empty codes, and an empty column counts as ncnt") {
     val none = ValueCodes(spark, Iterator.empty, plans)
-    assert(plans.forall(p => none.row(p).isEmpty))
+    assert(plans.forall(p => none.row(p.eval).isEmpty))
     assert(Assessment.count(Seq(TableColumn("e", "e", Nil, Nil, 0)), none, plans).count(_ == 1L) ==
       CandidateGen.totalCandidates(plans))
+  }
+
+  test("more edges than a byte code can count are rejected, naming the evaluator") {
+    val eval = new CountingEval("wide")
+    val wide = CandidateGen.EvalPlan(eval, Array.tabulate(ValueCodes.MaxEdges + 1)(_.toDouble), IndexedSeq.empty)
+    val e = intercept[IllegalArgumentException](ValueCodes(spark, Seq("a", "b"), IndexedSeq(wide)))
+    assert(e.getMessage.contains(eval.id) && e.getMessage.contains(s"${ValueCodes.MaxEdges + 1} edges"), e.getMessage)
+    val widest = wide.copy(thresholds = wide.thresholds.init)
+    assert(ValueCodes(spark, Seq("a", "b"), IndexedSeq(widest)).row(widest.eval).length == 2)
+  }
+
+  test("a model whose evaluator needs more edges than a byte code can count is rejected at construction") {
+    val eval = new CountingEval("wide_model")
+    val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(eval))
+    // 64 SDCs with distinct d_in and d_out: 128 edges.
+    val sdcs = (0 until 64).map(i => Sdc(eval.id, i.toDouble, 100.0 + i, 0.9, 0.9))
+    val e = intercept[IllegalArgumentException](new SdcModel(sdcs, registry))
+    assert(e.getMessage.contains(eval.id) && e.getMessage.contains("128 edges"), e.getMessage)
+    assert(new SdcModel(sdcs.init, registry).size == 63)
   }
 }

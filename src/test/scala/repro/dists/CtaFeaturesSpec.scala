@@ -1,0 +1,107 @@
+package repro.dists
+
+import java.lang.Double.doubleToLongBits
+
+import org.scalacheck.{Arbitrary, Gen}
+import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
+import repro.domains.Vocab
+import repro.util.Det
+
+/** [[CtaClassifier.score]] as it was written before the classifiers shared
+  * per-value features: every call normalizes the value, hashes it once per
+  * use and builds its trigrams. The shared-feature path must equal it bit
+  * for bit.
+  */
+object PerCallCta {
+
+  def score(c: CtaClassifier, raw: String): Double = {
+    val v = DomainEval.normalize(raw)
+    if (v.isEmpty) return 0.0
+    val base =
+      if (c.trainSet.contains(v)) 0.85 + 0.13 * Det.uniform(Det.combine(c.jitterSeed, Det.hashString(v)))
+      else if (c.fullSet.contains(v)) 0.45 + 0.30 * Det.uniform(Det.combine(c.jitterSeed, 0x2, Det.hashString(v)))
+      else 0.5 * trigramScore(c, v)
+    val noise = 0.16 * (Det.uniform(Det.combine(c.jitterSeed, 0x3, Det.hashString(v))) - 0.5)
+    math.min(1.0, math.max(0.0, base + noise))
+  }
+
+  private def trigramScore(c: CtaClassifier, v: String): Double = {
+    val grams = CtaClassifier.trigrams(v)
+    if (grams.isEmpty) 0.0
+    else {
+      var s = 0.0
+      grams.foreach(g => s += c.triLogOdds.getOrElse(g, CtaClassifier.UnseenLogOdds))
+      val avg = s / grams.size
+      1.0 / (1.0 + math.exp(-avg))
+    }
+  }
+}
+
+class CtaFeaturesSpec extends AnyFunSuite {
+
+  private val classifiers: IndexedSeq[CtaClassifier] =
+    CtaClassifier.sherlockBank(Vocab.nlDomains) ++ CtaClassifier.doduoBank(Vocab.nlDomains)
+
+  /** Flips the case of every other letter, and pads the value. */
+  private def mixCase(v: String, pad: Int): String =
+    " " * pad + v.zipWithIndex.map { case (ch, i) => if (i % 2 == 0) ch.toUpper else ch }.mkString + " " * (pad % 2)
+
+  private val fixed: Seq[String] = {
+    val c = classifiers.head
+    Seq(null, "", " ", "\t", " \n\t ", "a", "A", "ab", " x ", "xy", "😀", "😀a", "𝔘𝔫𝔦", "東京", "a\uD83D",
+      "germany", "Germany", " GERMANY ", "liechstein", "12/3/2020", "fl") ++
+      c.trainSet.toSeq.sorted.take(20).zipWithIndex.map { case (v, i) => mixCase(v, i % 3) } ++
+      (c.fullSet -- c.trainSet).toSeq.sorted.take(20).zipWithIndex.map { case (v, i) => mixCase(v, i % 3) }
+  }
+
+  private val genValue: Gen[String] = Gen.frequency(
+    3 -> Gen.oneOf(classifiers.flatMap(_.fullSet.toSeq.sorted.take(40))).flatMap(v => Gen.choose(0, 2).map(mixCase(v, _))),
+    1 -> Gen.oneOf(Vocab.months ++ Seq("febuary", "seattel", "12 oz", "item7", "a@b.com")),
+    1 -> Gen.choose(1, 2).flatMap(n => Gen.listOfN(n, Gen.alphaNumChar).map(_.mkString)),
+    1 -> Gen.oneOf("", " ", "\t \n", "😀 smile", "ǅemal", "ΑΘΗΝΑ", "münchen", "𝔘"),
+    2 -> Arbitrary.arbitrary[String],
+  )
+
+  private lazy val random: Seq[String] =
+    Gen.listOfN(5000, genValue).pureApply(Gen.Parameters.default.withSize(20), Seed(29L))
+
+  private def sameScores(values: Seq[String]): Unit =
+    for (c <- classifiers; v <- values) {
+      val want = PerCallCta.score(c, v)
+      assert(doubleToLongBits(c.score(v)) == doubleToLongBits(want), s"${c.id} score on '$v'")
+      assert(doubleToLongBits(c.distance(v)) == doubleToLongBits(1.0 - want), s"${c.id} distance on '$v'")
+    }
+
+  test("shared-feature scores equal the per-call scores on fixed edge cases") {
+    assert(fixed.count(v => classifiers.head.trainSet.contains(DomainEval.normalize(v))) >= 20)
+    sameScores(fixed)
+  }
+
+  test("shared-feature scores equal the per-call scores on 5,000 random strings") {
+    assert(random.size == 5000)
+    assert(random.count(v => classifiers.exists(_.fullSet.contains(DomainEval.normalize(v)))) > 1000)
+    sameScores(random)
+  }
+
+  test("bank rows of CTA classifiers mixed in any order among the other families equal the per-call scores") {
+    val others: IndexedSeq[DomainEval] =
+      IndexedSeq("january", "seattle").map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)) ++
+        Seq("march", "red").map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)) ++
+        Seq(new PatternEval("\\d+ [a-zA-Z]+")) ++ FunctionEval.allEvals.take(3)
+    val values = (fixed ++ random.take(500)).toArray
+    (0 until 8).foreach { seed =>
+      val evals = Det.shuffle(seed.toLong, classifiers.take(6 + seed) ++ others)
+      val d = new EvalBank(evals).distances(values)
+      evals.indices.foreach { i =>
+        values.indices.foreach { j =>
+          val want = evals(i) match {
+            case c: CtaClassifier => 1.0 - PerCallCta.score(c, values(j))
+            case e                => e.distance(values(j))
+          }
+          assert(doubleToLongBits(d(i)(j)) == doubleToLongBits(want), s"${evals(i).id} on '${values(j)}'")
+        }
+      }
+    }
+  }
+}

@@ -1,5 +1,7 @@
 package repro.dists
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.domains.Vocab
 
@@ -81,5 +83,20 @@ class SynthEmbeddingSpec extends AnyFunSuite {
 
   test("normalization applies before embedding") {
     assert(glove.distance("Seattle", "seattle") < 1e-9)
+  }
+
+  test("tokenize equals String.split on whitespace runs, edge spaces and surrogate pairs") {
+    // \u000B is \s; \u00A0 and \u2003 are not.
+    val chars = Gen.oneOf(' ', ' ', '\t', '\n', '\r', '\f', '\u000B', '\u00A0', '\u2003', 'a', 'b', 'z', '7', 'é', '東')
+    val piece = Gen.frequency(5 -> chars.map(_.toString), 1 -> Gen.oneOf("😀", "𝔘", "\uD83D", "\uDE00"))
+    val random = Gen.listOfN(5000, Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, piece).map(_.mkString)))
+      .pureApply(Gen.Parameters.default, Seed(17L))
+    val strings = random.zipWithIndex.map { case (s, i) => if (i % 4 == 0) s"  $s " else s } ++
+      Seq("", " ", "  a  b  ", "\u000B", "a\u00A0b", "a\u2003b")
+    strings.foreach { s =>
+      assert(SynthEmbedding.tokenize(s).toSeq == s.split("\\s+").filter(_.nonEmpty).toSeq, s)
+    }
+    assert(SynthEmbedding.tokenize("a\u000Bb").toSeq == Seq("a", "b"))
+    assert(SynthEmbedding.tokenize(" a\u00A0b\u2003c ").toSeq == Seq("a\u00A0b\u2003c"))
   }
 }
