@@ -4,6 +4,10 @@ import repro.core.Assessment.AssessedCandidate
 import repro.lp.Simplex
 import repro.util.Det
 
+import scala.collection.immutable.{ArraySeq, HashMap}
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
+
 /** SDC selection by LP-relaxation + randomized rounding (paper Sec 5.3).
   *
   * Implements both Coarse-Select (CSS, Definition 4 / Algorithm 1) and
@@ -39,77 +43,117 @@ object Selection {
   )
 
   /** @param candidates  assessed candidates, indexed by position
-    * @param detections  (synId, candidate-position) detection pairs
+    * @param detections  (synId, candidate-position) detection pairs, in any
+    *                    order and possibly repeated
     * @param nSyn        |C_syn|
+    *
+    * The reduction runs on primitive arrays. The LP's group rows are ordered
+    * by (−w, min K) and, among groups tied on that key, by the iteration
+    * order of an immutable `HashMap[Set[Int], _]` keyed on the distinct
+    * detector sets. That order is kept because it decides the LP's vertex on
+    * ties, and with it the rounded selection. A CHAMP map's iteration order
+    * depends only on its keys' hashes; the one case where insertion order
+    * decides is two tied sets whose 32-bit hashes collide in full, which are
+    * then inserted in ascending order of their first synthetic column id.
     */
   def select(candidates: IndexedSeq[AssessedCandidate],
              detections: Seq[(Int, Int)],
              nSyn: Int,
              cfg: SelectionConfig): SelectionResult = {
 
-    // --- K_j construction (FSS filters to near-best confidence) -----------
-    val bySyn: Map[Int, IndexedSeq[Int]] =
-      detections.groupBy(_._1).view.mapValues(_.map(_._2).distinct.toIndexedSeq).toMap
-    val kSets: Map[Int, IndexedSeq[Int]] = cfg.delta match {
-      case None => bySyn
-      case Some(d) =>
-        bySyn.view.mapValues { ks =>
-          val best = ks.map(i => candidates(i).sdc.confidence).max
-          ks.filter(i => candidates(i).sdc.confidence >= best - d)
-        }.toMap
+    // --- K_j construction (FSS filters to near-best confidence), and ------
+    // --- merging of synthetic columns with identical detector sets --------
+    // One sorted array of (syn << 32 | candidate): each K_j is a run of it,
+    // sorted and, skipping repeats, distinct.
+    val pairs = new Array[Long](detections.size)
+    var p = 0
+    detections.foreach { case (s, c) => pairs(p) = (s.toLong << 32) | (c & 0xffffffffL); p += 1 }
+    java.util.Arrays.sort(pairs)
+    val kIndex = mutable.HashMap.empty[ArraySeq[Int], Int]
+    val kSets = ArrayBuffer.empty[Array[Int]]
+    val kWeights = ArrayBuffer.empty[Int]
+    val run = new Array[Int](pairs.length)
+    var start = 0
+    while (start < pairs.length) {
+      val syn = pairs(start) >>> 32
+      var len = 0
+      var q = start
+      while (q < pairs.length && (pairs(q) >>> 32) == syn) {
+        val c = pairs(q).toInt
+        if (len == 0 || run(len - 1) != c) { run(len) = c; len += 1 }
+        q += 1
+      }
+      start = q
+      var k = java.util.Arrays.copyOf(run, len)
+      cfg.delta.foreach { d =>
+        val best = k.map(candidates(_).sdc.confidence).max
+        k = k.filter(candidates(_).sdc.confidence >= best - d)
+      }
+      if (k.nonEmpty) {
+        val g = kIndex.getOrElseUpdate(ArraySeq.unsafeWrapArray(k), { kSets += k; kWeights += 0; kSets.size - 1 })
+        kWeights(g) += 1
+      }
     }
-
-    // --- merge synthetic columns with identical detector sets -------------
-    val groups: IndexedSeq[(Set[Int], Int)] = kSets.values
-      .filter(_.nonEmpty)
-      .groupBy(_.toSet)
-      .map { case (k, occurrences) => (k, occurrences.size) }
-      .toIndexedSeq
-      .sortBy { case (k, w) => (-w, k.min) }
+    // kSets indices in LP row order (DESIGN §5, group order rule)
+    val groups: Array[Int] = HashMap.from(kSets.indices.map(g => kSets(g).toSet -> g))
+      .valuesIterator.toArray
+      .sortBy(g => (-kWeights(g), kSets(g)(0)))
 
     if (groups.isEmpty)
       return SelectionResult(IndexedSeq.empty, 0.0, 0.0, 0)
 
     // --- candidate dedup by detector signature ----------------------------
-    val usedCands: IndexedSeq[Int] = groups.flatMap(_._1).distinct.sorted
-    val sigOf: Map[Int, IndexedSeq[Int]] = usedCands.map { ci =>
-      ci -> groups.indices.filter(g => groups(g)._1.contains(ci)).toIndexedSeq
-    }.toMap
-    val dedup: IndexedSeq[Int] = sigOf
-      .groupBy(_._2)
-      .map { case (_, members) =>
-        members.keys.minBy(ci => (candidates(ci).fpr, -candidates(ci).sdc.confidence, ci))
+    // A candidate's signature is the increasing list of groups containing it.
+    val sigLen = new Array[Int](candidates.size)
+    groups.foreach(g => kSets(g).foreach(c => sigLen(c) += 1))
+    val sigOf = Array.tabulate(candidates.size)(c => new Array[Int](sigLen(c)))
+    java.util.Arrays.fill(sigLen, 0)
+    for (gi <- groups.indices; c <- kSets(groups(gi))) { sigOf(c)(sigLen(c)) = gi; sigLen(c) += 1 }
+    def better(a: Int, b: Int): Boolean = { // (fpr, −confidence) order, ties to the lower index
+      val byFpr = java.lang.Double.compare(candidates(a).fpr, candidates(b).fpr)
+      byFpr < 0 || byFpr == 0 &&
+        java.lang.Double.compare(-candidates(a).sdc.confidence, -candidates(b).sdc.confidence) < 0
+    }
+    val bySig = mutable.HashMap.empty[ArraySeq[Int], Int]
+    for (c <- candidates.indices if sigLen(c) > 0) {
+      val sig = ArraySeq.unsafeWrapArray(sigOf(c))
+      bySig.get(sig) match {
+        case Some(rep) if !better(c, rep) =>
+        case _ => bySig(sig) = c
       }
-      .toIndexedSeq
-      .sorted
+    }
+    val dedup: Array[Int] = bySig.valuesIterator.toArray.sorted
     // Keep the strongest detectors if the LP would be too large.
-    val lpCands: IndexedSeq[Int] =
-      if (dedup.size <= cfg.maxLpCandidates) dedup
-      else dedup.sortBy(ci => -sigOf(ci).map(g => groups(g)._2).sum).take(cfg.maxLpCandidates).sorted
+    val lpCands: Array[Int] =
+      if (dedup.length <= cfg.maxLpCandidates) dedup
+      else dedup.sortBy(c => -sigOf(c).map(gi => kWeights(groups(gi))).sum).take(cfg.maxLpCandidates).sorted
 
-    val candPos: Map[Int, Int] = lpCands.zipWithIndex.toMap
-    val liveGroups: IndexedSeq[(IndexedSeq[Int], Int)] = groups.map { case (k, w) =>
-      (k.toIndexedSeq.flatMap(candPos.get).sorted, w)
-    }.filter(_._1.nonEmpty)
+    val candPos = Array.fill(candidates.size)(-1)
+    lpCands.indices.foreach(i => candPos(lpCands(i)) = i)
+    val (liveK, liveW) = groups
+      .map(g => (kSets(g).map(candPos).filter(_ >= 0), kWeights(g)))
+      .filter(_._1.nonEmpty)
+      .unzip
 
-    val nx = lpCands.size
-    val ng = liveGroups.size
+    val nx = lpCands.length
+    val ng = liveK.length
 
     // --- CSS-LP (Eq 14-18 with integrality dropped) -----------------------
     // vars: x_0..x_{nx-1}, y_0..y_{ng-1}
     val n = nx + ng
     val obj = new Array[Double](n)
-    liveGroups.zipWithIndex.foreach { case ((_, w), g) => obj(nx + g) = w.toDouble }
+    for (g <- 0 until ng) obj(nx + g) = liveW(g).toDouble
+    val fpr = lpCands.map(candidates(_).fpr)
 
     val rows = IndexedSeq.newBuilder[Array[(Int, Double)]]
     val rhs  = IndexedSeq.newBuilder[Double]
     // (15) size budget
     rows += Array.tabulate(nx)(i => (i, 1.0)); rhs += cfg.bSize.toDouble
     // (16) FPR budget
-    rows += Array.tabulate(nx)(i => (i, candidates(lpCands(i)).fpr)); rhs += cfg.bFpr
+    rows += Array.tabulate(nx)(i => (i, fpr(i))); rhs += cfg.bFpr
     // (17) coverage: y_g − Σ_{i∈K_g} x_i <= 0
-    liveGroups.zipWithIndex.foreach { case ((k, _), g) =>
-      rows += (k.map(i => (i, -1.0)) :+ (nx + g, 1.0)).toArray
+    for (g <- 0 until ng) {
+      rows += (liveK(g).map(i => (i, -1.0)) :+ (nx + g, 1.0))
       rhs += 0.0
     }
     // (18 relaxed) upper bounds
@@ -121,10 +165,11 @@ object Selection {
     val xFrac = lp.x.take(nx)
     def evalPick(picked: Array[Boolean]): (Double, Boolean) = {
       var covered = 0.0
-      liveGroups.foreach { case (k, w) => if (k.exists(picked(_))) covered += w }
-      val size = picked.count(identity)
-      val fpr = (0 until nx).iterator.filter(picked(_)).map(i => candidates(lpCands(i)).fpr).sum
-      (covered, size <= cfg.bSize && fpr <= cfg.bFpr + 1e-12)
+      for (g <- 0 until ng) if (liveK(g).exists(picked(_))) covered += liveW(g)
+      var size = 0
+      var fprSum = 0.0 // summed in index order
+      for (i <- 0 until nx) if (picked(i)) { size += 1; fprSum += fpr(i) }
+      (covered, size <= cfg.bSize && fprSum <= cfg.bFpr + 1e-12)
     }
     var best: Array[Boolean] = null
     var bestObj = -1.0
@@ -140,10 +185,9 @@ object Selection {
     if (best == null) { // all trials infeasible: take deterministic top-prob subset
       val order = (0 until nx).sortBy(i => -xFrac(i))
       val picked = new Array[Boolean](nx)
-      var fpr = 0.0; var size = 0
+      var fprSum = 0.0; var size = 0
       order.foreach { i =>
-        val f = candidates(lpCands(i)).fpr
-        if (size < cfg.bSize && fpr + f <= cfg.bFpr) { picked(i) = true; size += 1; fpr += f }
+        if (size < cfg.bSize && fprSum + fpr(i) <= cfg.bFpr) { picked(i) = true; size += 1; fprSum += fpr(i) }
       }
       best = picked
       bestObj = evalPick(picked)._1

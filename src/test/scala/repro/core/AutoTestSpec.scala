@@ -81,6 +81,23 @@ class AutoTestSpec extends SparkSpec {
     assert(model.timings.values.forall(_ >= 0.0))
   }
 
+  test("training, reselect and selectSubset select what the Set-based reduction selects") {
+    def reference(cands: IndexedSeq[Assessment.AssessedCandidate], dets: Seq[(Int, Int)],
+                  bSize: Int, delta: Option[Double]) =
+      SetSelection.select(cands, dets, model.nSyn,
+        Selection.SelectionConfig(bSize, cfg.bFpr, delta, cfg.maxLpCandidates, seed = cfg.seed))
+    import SelectionEquivalenceSpec.same
+    assert(same(model.coarse, reference(model.assessed, model.detections, cfg.bSize, None)))
+    assert(same(model.fine, reference(model.assessed, model.detections, cfg.bSize, Some(cfg.delta))))
+    for (b <- Seq(20, 100, 500); d <- Seq(None, Some(cfg.delta)))
+      assert(same(model.reselect(bSize = b, delta = d), reference(model.assessed, model.detections, b, d)), s"B_size $b δ $d")
+    val kept = model.assessed.zipWithIndex.filter(!_._1.sdc.evalId.startsWith("cta:"))
+    val remap = kept.map(_._2).zipWithIndex.toMap
+    val dets = model.detections.collect { case (s, c) if remap.contains(c) => (s, remap(c)) }
+    assert(same(model.selectSubset(!_.sdc.evalId.startsWith("cta:")),
+      reference(kept.map(_._1), dets, cfg.bSize, Some(cfg.delta))))
+  }
+
   test("reselect with a smaller budget returns fewer or equal rules") {
     val small = model.reselect(bSize = 20, delta = Some(cfg.delta))
     assert(small.selected.size <= 20)
