@@ -51,8 +51,10 @@ object Assessment {
         * reach this level (equivalently a min-coverage cut).
         */
       minCoverageConfidence: Double = 0.9,
+      /** Table 8 ablates the Cohen's h gate and the Wilson interval; the
+        * chi-squared gate always applies.
+        */
       useCohensH: Boolean = true,
-      useChiSquared: Boolean = true,
       useWilson: Boolean = true,
       /** The corpus' base error rate (paper Sec 5.2: "~98% of columns are
         * error-free", i.e. ~2% dirty). Triggers on genuinely-dirty corpus
@@ -116,9 +118,7 @@ object Assessment {
           val h = Stats.cohensH(cc.rhoBar, cc.rho)
           val chi = Stats.chiSquared2x2(cc.ct, cc.cnt, cc.nct, cc.ncnt)
           val p = Stats.chiSquaredPValue1Dof(chi)
-          val passH = !cfg.useCohensH || h >= cfg.hThreshold
-          val passP = !cfg.useChiSquared || p <= cfg.pThreshold
-          if (passH && passP) {
+          if ((!cfg.useCohensH || h >= cfg.hThreshold) && p <= cfg.pThreshold) {
             val conf =
               if (cfg.useWilson) Stats.wilsonConfidence(cc.ct, cc.cnt)
               else Stats.plainConfidence(cc.ct, cc.cnt)

@@ -17,12 +17,8 @@ object AutoTest {
       nCentroids: Int = 150,
       /** corpus-mined patterns (paper: 45) */
       nPatterns: Int = 40,
-      hThreshold: Double = 0.8,
-      pThreshold: Double = 0.05,
-      minCoverageConfidence: Double = 0.9,
-      useCohensH: Boolean = true,
-      useChiSquared: Boolean = true,
-      useWilson: Boolean = true,
+      /** the Sec 5.2 statistical gates */
+      assessConfig: Assessment.AssessConfig = Assessment.AssessConfig(),
       /** |C_syn| for distant-supervision recall estimation */
       nSyn: Int = 2000,
       bSize: Int = 500,
@@ -32,8 +28,9 @@ object AutoTest {
       maxLpCandidates: Int = 2500,
       seed: Long = 42,
   ) {
-    def assessConfig: Assessment.AssessConfig = Assessment.AssessConfig(
-      hThreshold, pThreshold, minCoverageConfidence, useCohensH, useChiSquared, useWilson)
+    /** CSS (`delta` = None) or FSS selection settings at budget `bSize`. */
+    private[AutoTest] def selection(bSize: Int, bFpr: Double, delta: Option[Double]): Selection.SelectionConfig =
+      Selection.SelectionConfig(bSize, bFpr, delta, maxLpCandidates, seed = seed)
   }
 
   /** Trained artefacts: R_all plus both selected variants.
@@ -65,8 +62,7 @@ object AutoTest {
     /** Re-run selection with different budgets without re-assessing. */
     def reselect(bSize: Int = config.bSize, bFpr: Double = config.bFpr,
                  delta: Option[Double]): Selection.SelectionResult =
-      Selection.select(assessed, detections, nSyn,
-        Selection.SelectionConfig(bSize, bFpr, delta, config.maxLpCandidates, seed = config.seed))
+      Selection.select(assessed, detections, nSyn, config.selection(bSize, bFpr, delta))
 
     /** Re-run the statistical gates with different flags (Table 8's Wilson /
       * Cohen's-h ablations) from the stored contingency counts.
@@ -82,19 +78,8 @@ object AutoTest {
       val kept = assessed.zipWithIndex.filter { case (a, _) => keep(a) }
       val remap = kept.map(_._2).zipWithIndex.toMap // old idx -> new idx
       val dets = detections.collect { case (s, c) if remap.contains(c) => (s, remap(c)) }
-      Selection.select(kept.map(_._1), dets, nSyn,
-        Selection.SelectionConfig(config.bSize, config.bFpr, delta,
-          config.maxLpCandidates, seed = config.seed))
+      Selection.select(kept.map(_._1), dets, nSyn, config.selection(config.bSize, config.bFpr, delta))
     }
-  }
-
-  /** Family prefix of an evaluator id ("cta:", "emb:", "pat:", "fun:"). */
-  def familyOfEvalId(evalId: String): String = evalId.takeWhile(_ != ':') match {
-    case "cta" => repro.dists.DomainEval.Cta
-    case "emb" => repro.dists.DomainEval.Embedding
-    case "pat" => repro.dists.DomainEval.Pattern
-    case "fun" => repro.dists.DomainEval.Function
-    case other => other
   }
 
   /** Sample centroid values: one random value from each of `n` random
@@ -130,8 +115,7 @@ object AutoTest {
       val centroids = sampleCentroids(corpus, cfg.nCentroids, cfg.seed)
       val corpusDf = ColumnStore.toDf(spark, corpus)
       val patterns = Patterns.minePatterns(ColumnStore.explode(corpusDf), topK = cfg.nPatterns)
-      var registry = EvalRegistry.default(centroids, patterns)
-      cfg.dropFamilies.foreach(f => registry = registry.dropFamily(f))
+      val registry = cfg.dropFamilies.foldLeft(EvalRegistry.default(centroids, patterns))(_ dropFamily _)
       val plans = CandidateGen.enumerate(registry)
       val codes = ValueCodes(spark, corpus.iterator.flatMap(_.values), plans)
       val counts = Assessment.count(corpus, codes, plans)
@@ -157,12 +141,10 @@ object AutoTest {
 
     // ---- CSS / FSS selection ---------------------------------------------
     val (coarse, tCoarse) = timed {
-      Selection.select(assessed0, detections, cfg.nSyn,
-        Selection.SelectionConfig(cfg.bSize, cfg.bFpr, None, cfg.maxLpCandidates, seed = cfg.seed))
+      Selection.select(assessed0, detections, cfg.nSyn, cfg.selection(cfg.bSize, cfg.bFpr, None))
     }
     val (fine, tFine) = timed {
-      Selection.select(assessed0, detections, cfg.nSyn,
-        Selection.SelectionConfig(cfg.bSize, cfg.bFpr, Some(cfg.delta), cfg.maxLpCandidates, seed = cfg.seed))
+      Selection.select(assessed0, detections, cfg.nSyn, cfg.selection(cfg.bSize, cfg.bFpr, Some(cfg.delta)))
     }
 
     TrainedModel(registry, assessed0, assessedPlans, detections, cfg.nSyn, coarse, fine,

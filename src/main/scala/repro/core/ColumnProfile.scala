@@ -18,10 +18,6 @@ package repro.core
   */
 final class ColumnProfile private (cumulative: Array[Int]) {
 
-  /** Profile of one row of distances at the sorted, distinct `edges`. */
-  def this(dists: Array[Double], edges: Array[Double]) =
-    this(ColumnProfile.histogram(edges.length, dists.length)(i => ColumnProfile.bucket(dists(i), edges)))
-
   /** Number of values profiled. */
   val size: Int = cumulative(cumulative.length - 1)
 
@@ -45,9 +41,13 @@ object ColumnProfile {
 
   /** Edge-bucket code of distance `d` at sorted, distinct `edges`: the number
     * of edges below `d`, so bucket k holds edges(k-1) < d <= edges(k) and
-    * `d > edges(k)` exactly when `bucket(d, edges) > k`. NaN compares false
-    * with every edge and goes to bucket 0, failing both tests as the distance
-    * does.
+    * `d > edges(k)` exactly when `bucket(d, edges) > k`.
+    *
+    * NaN compares false with every edge and goes to bucket 0. In bucket 0 it
+    * counts as within every edge for `covers`, and `triggers` never fires on
+    * it; the distance itself fails `d <= d_in` as well as `d > d_out`, so
+    * the code and the distance disagree on the pre-condition. Definition 2
+    * assumes the distances >= 0 that `DomainEval.distance` promises.
     */
   def bucket(d: Double, edges: Array[Double]): Int = {
     var b = 0
@@ -56,20 +56,15 @@ object ColumnProfile {
   }
 
   /** Profile of the values `ids` whose codes at `nEdges` edges are
-    * `codes(id)`: the same histogram the distance constructor builds.
+    * `codes(id)`: bucket counts, prefix-summed, so index i holds the values
+    * in buckets 0..i and the last index holds `ids.length`.
     */
-  def fromCodes(codes: Array[Byte], ids: Array[Int], nEdges: Int): ColumnProfile =
-    new ColumnProfile(histogram(nEdges, ids.length)(i => codes(ids(i))))
-
-  /** Bucket counts of `n` codes, prefix-summed: index i holds the values in
-    * buckets 0..i, and the last index holds n.
-    */
-  private def histogram(nEdges: Int, n: Int)(code: Int => Int): Array[Int] = {
+  def fromCodes(codes: Array[Byte], ids: Array[Int], nEdges: Int): ColumnProfile = {
     val c = new Array[Int](nEdges + 1)
     var i = 0
-    while (i < n) { c(code(i)) += 1; i += 1 }
+    while (i < ids.length) { c(codes(ids(i))) += 1; i += 1 }
     var b = 1
     while (b < c.length) { c(b) += c(b - 1); b += 1 }
-    c
+    new ColumnProfile(c)
   }
 }

@@ -16,7 +16,4 @@ final case class Sdc(
 ) {
   require(dOut > dIn, s"SDC needs dOut > dIn (got dIn=$dIn dOut=$dOut)")
   require(m > 0 && m <= 1, s"matching-percentage must be in (0,1], got $m")
-
-  /** Key identifying the pre-condition (Appendix B.2 dedup). */
-  def preKey: (String, Double, Double) = (evalId, dIn, m)
 }

@@ -31,9 +31,11 @@ object Selection {
       delta: Option[Double] = None,
       /** Cap on candidates entering the LP (top detectors kept). */
       maxLpCandidates: Int = 2500,
-      roundingTrials: Int = 32,
       seed: Long = 7,
   )
+
+  /** Seeded rounding draws per selection (Algorithm 1 lines 4-7). */
+  private[core] val RoundingTrials: Int = 32
 
   final case class SelectionResult(
       selected: IndexedSeq[AssessedCandidate],
@@ -174,7 +176,7 @@ object Selection {
     var best: Array[Boolean] = null
     var bestObj = -1.0
     var t = 0
-    while (t < cfg.roundingTrials) {
+    while (t < RoundingTrials) {
       val picked = Array.tabulate(nx) { i =>
         Det.uniform(Det.combine(cfg.seed, t.toLong, i.toLong)) < xFrac(i)
       }

@@ -69,16 +69,9 @@ object Stats {
     if (nC == 0) 0.0 else 1.0 - nCT / nC
   }
 
-  /** Appendix B.1 Eq 19: upper bound of a rule's confidence given only its
-    * coverage count (assumes zero false triggers).
-    */
-  def confidenceUpperBound(nCovered: Long, z: Double = Z95): Double = {
-    val z2 = z * z
-    1.0 - z2 / (nCovered + z2)
-  }
-
-  /** Appendix B.1 Observation 1 corollary: minimum coverage needed for the
-    * confidence upper bound to reach `cThres`.
+  /** Appendix B.1 Observation 1 corollary: minimum coverage n for the
+    * confidence upper bound of Eq 19, 1 − z²/(n + z²) (a rule with zero false
+    * triggers), to reach `cThres`.
     */
   def minCoverageFor(cThres: Double, z: Double = Z95): Long = {
     require(cThres > 0 && cThres < 1, s"cThres must be in (0,1), got $cThres")

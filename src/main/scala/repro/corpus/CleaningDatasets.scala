@@ -27,8 +27,6 @@ object CleaningDatasets {
   ) {
     def allErrors: Set[String] = knownErrors ++ missedErrors
     def colId: String = s"$dataset/$column"
-    def toTableColumn: TableColumn =
-      TableColumn(colId, s"cleaning:$dataset", values, allErrors.toVector, values.size.toLong)
   }
 
   private def seedOf(tag: String): Long = Det.hashString("cleaning:" + tag)
@@ -230,6 +228,4 @@ object CleaningDatasets {
     case "tax"      => tax
     case other      => throw new IllegalArgumentException(s"unknown dataset $other")
   }
-
-  def allColumns: Seq[CleaningColumn] = datasetNames.flatMap(dataset)
 }

@@ -46,19 +46,6 @@ object ColumnStore {
   def explode(df: DataFrame): DataFrame =
     df.select(F.col("col_id"), F.explode(F.col("values")).as("value"))
 
-  def fromDf(df: DataFrame): Seq[TableColumn] = {
-    df.collect().toSeq.map { r =>
-      TableColumn(
-        colId = r.getAs[String]("col_id"),
-        domainTag = r.getAs[String]("domain_tag"),
-        // Spark hands back mutable ArraySeq; normalise to immutable Vector.
-        values = r.getSeq[String](r.fieldIndex("values")).toVector,
-        errors = r.getSeq[String](r.fieldIndex("errors")).toVector,
-        nTotalVals = r.getAs[Long]("n_total_vals"),
-      )
-    }
-  }
-
   /** Table-3-style statistics: (#cols, mean/median #vals, mean/median #distinct). */
   final case class CorpusStats(
       nColumns: Long,

@@ -14,34 +14,24 @@ import repro.domains.Vocab
   * Counts are scaled down from the paper's (199 + 2000 + 45 + 8) to keep the
   * pipeline in-container; every count is a parameter (DESIGN §2).
   */
-final class EvalRegistry(
-    val ctaEvals: IndexedSeq[DomainEval],
-    val embeddingEvals: IndexedSeq[DomainEval],
-    val patternEvals: IndexedSeq[DomainEval],
-    val functionEvals: IndexedSeq[DomainEval],
-) extends Serializable {
-
-  val all: IndexedSeq[DomainEval] =
-    ctaEvals ++ embeddingEvals ++ patternEvals ++ functionEvals
+final class EvalRegistry(val all: IndexedSeq[DomainEval]) extends Serializable {
 
   val byId: Map[String, DomainEval] = all.map(e => e.id -> e).toMap
 
-  def byFamily(family: String): IndexedSeq[DomainEval] = family match {
-    case DomainEval.Cta       => ctaEvals
-    case DomainEval.Embedding => embeddingEvals
-    case DomainEval.Pattern   => patternEvals
-    case DomainEval.Function  => functionEvals
-    case other                => throw new IllegalArgumentException(s"unknown family $other")
+  /** One family's evaluators, in registry order. */
+  def byFamily(family: String): IndexedSeq[DomainEval] = {
+    requireKnown(family)
+    all.filter(_.family == family)
   }
 
   /** Registry without one family — used by the Table 7 ablation. */
-  def dropFamily(family: String): EvalRegistry = family match {
-    case DomainEval.Cta       => new EvalRegistry(IndexedSeq.empty, embeddingEvals, patternEvals, functionEvals)
-    case DomainEval.Embedding => new EvalRegistry(ctaEvals, IndexedSeq.empty, patternEvals, functionEvals)
-    case DomainEval.Pattern   => new EvalRegistry(ctaEvals, embeddingEvals, IndexedSeq.empty, functionEvals)
-    case DomainEval.Function  => new EvalRegistry(ctaEvals, embeddingEvals, patternEvals, IndexedSeq.empty)
-    case other                => throw new IllegalArgumentException(s"unknown family $other")
+  def dropFamily(family: String): EvalRegistry = {
+    requireKnown(family)
+    new EvalRegistry(all.filter(_.family != family))
   }
+
+  private def requireKnown(family: String): Unit =
+    require(DomainEval.families.contains(family), s"unknown family $family")
 }
 
 object EvalRegistry {
@@ -49,7 +39,8 @@ object EvalRegistry {
   lazy val gloveEmbedding: SynthEmbedding = SynthEmbedding.glove()
   lazy val sbertEmbedding: SynthEmbedding = SynthEmbedding.sbert()
 
-  /** Assemble the default registry.
+  /** Assemble the default registry: CTA, embedding, pattern, then function
+    * evaluators, which fixes the candidate indices.
     *
     * @param centroidValues corpus-sampled values used as embedding centroids
     *                       (paper samples 1000; we default to a few hundred)
@@ -63,6 +54,6 @@ object EvalRegistry {
           new EmbeddingCentroidEval(sbertEmbedding, c))
     }.toIndexedSeq
     val pat: IndexedSeq[DomainEval] = minedPatterns.distinct.map(new PatternEval(_)).toIndexedSeq
-    new EvalRegistry(cta, emb, pat, FunctionEval.allEvals)
+    new EvalRegistry(cta ++ emb ++ pat ++ FunctionEval.allEvals)
   }
 }

@@ -370,5 +370,4 @@ object Vocab {
   val byName: Map[String, Domain] = all.map(d => d.name -> d).toMap
 
   val nlDomains: IndexedSeq[VocabDomain] = all.collect { case v: VocabDomain => v }
-  val machineDomains: IndexedSeq[GenDomain] = all.collect { case g: GenDomain => g }
 }

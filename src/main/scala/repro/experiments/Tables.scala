@@ -139,7 +139,7 @@ object Tables {
       Seq(DomainEval.Cta -> "no-CTA", DomainEval.Embedding -> "no-embedding",
         DomainEval.Pattern -> "no-pattern", DomainEval.Function -> "no-function")
         .map { case (family, label) =>
-          val sel = m.selectSubset(a => repro.core.AutoTest.familyOfEvalId(a.sdc.evalId) != family)
+          val sel = m.selectSubset(a => m.registry.byId(a.sdc.evalId).family != family)
           label -> new SdcModel(sel.selected.map(_.sdc), m.registry)
         }
     val scores = (for {

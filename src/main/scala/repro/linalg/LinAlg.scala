@@ -41,12 +41,6 @@ object LinAlg {
     math.sqrt(s)
   }
 
-  def cosineDistance(a: Vec, b: Vec): Double = {
-    val na = norm2(a); val nb = norm2(b)
-    if (na == 0.0 || nb == 0.0) 1.0
-    else 1.0 - dot(a, b) / (na * nb)
-  }
-
   def mean(rows: Seq[Vec]): Vec = {
     require(rows.nonEmpty, "mean of empty set")
     val d = rows.head.length

@@ -12,7 +12,7 @@ class AssessmentSpec extends SparkSpec {
 
   // A tiny registry with a single pattern evaluator keeps counts auditable.
   private val patEval = new PatternEval("\\d+ [a-zA-Z]+")
-  private val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(patEval), IndexedSeq.empty)
+  private val registry = new EvalRegistry(IndexedSeq(patEval))
   private val plans = CandidateGen.enumerate(registry)
 
   // 30 unit columns (all match), 1 unit column with an error, 30 other columns.
@@ -47,7 +47,7 @@ class AssessmentSpec extends SparkSpec {
   test("contingency is identical at 1, 4 and 64 partitions") {
     val evals = IndexedSeq(patEval, new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, "january")) ++
       FunctionEval.allEvals
-    val mixedPlans = CandidateGen.enumerate(new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, evals, IndexedSeq.empty))
+    val mixedPlans = CandidateGen.enumerate(new EvalRegistry(evals))
     val genValue = Gen.oneOf(
       Gen.choose(1, 99).map(i => s"$i oz"),
       Gen.choose(1, 12).map(i => s"$i/5/2020"),
@@ -176,7 +176,7 @@ class AssessmentSpec extends SparkSpec {
       override val family = repro.dists.DomainEval.Cta
       override def distance(v: String): Double = repro.util.Det.uniform(repro.util.Det.hashString(v))
     }
-    val reg = new EvalRegistry(IndexedSeq(hashEval), IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty)
+    val reg = new EvalRegistry(IndexedSeq(hashEval))
     val hPlans = CandidateGen.enumerate(reg)
     val hCounts = Assessment.contingency(spark, corpus.toDS(), hPlans)
     val survivors = Assessment.assess(hPlans, hCounts, corpus.size.toLong, Assessment.AssessConfig())

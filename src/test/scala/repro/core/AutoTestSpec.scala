@@ -52,8 +52,8 @@ class AutoTestSpec extends SparkSpec {
 
   test("assessed candidates all pass the statistical gates") {
     model.assessed.foreach { a =>
-      assert(a.effectSize >= cfg.hThreshold)
-      assert(a.pValue <= cfg.pThreshold)
+      assert(a.effectSize >= cfg.assessConfig.hThreshold)
+      assert(a.pValue <= cfg.assessConfig.pThreshold)
       assert(a.sdc.confidence > 0 && a.sdc.confidence < 1)
     }
   }

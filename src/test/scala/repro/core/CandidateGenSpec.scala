@@ -42,7 +42,7 @@ class CandidateGenSpec extends AnyFunSuite {
     val g = CandidateGen.gridFor(pat)
     val expected = (for { di <- g.dIns; dо <- g.dOuts if dо > di; _ <- g.ms } yield 1).size
     val plan = CandidateGen.enumerate(
-      new repro.dists.EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(pat), IndexedSeq.empty)).head
+      new EvalRegistry(IndexedSeq(pat))).head
     assert(plan.candidates.size == expected)
   }
 
@@ -55,7 +55,7 @@ class CandidateGenSpec extends AnyFunSuite {
   // The histogram over the grid edges lives in ColumnProfile: within(i)
   // counts distances <= ts(i), and the values beyond ts.last trigger.
   private val ts = Array(0.5, 1.0, 2.0)
-  private val profile = new ColumnProfile(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts)
+  private val profile = PerValueReference.profile(Array(0.1, 0.5, 0.7, 1.0, 1.5, 3.0), ts)
 
   test("histogram bins distances at grid edges") {
     val cumulative = ts.indices.map(profile.within) :+ profile.size
@@ -70,13 +70,13 @@ class CandidateGenSpec extends AnyFunSuite {
   }
 
   test("histogram of empty input is all zeros") {
-    val empty = new ColumnProfile(Array.empty, Array(1.0))
+    val empty = PerValueReference.profile(Array.empty, Array(1.0))
     assert(empty.within(0) == 0)
     assert(!empty.triggers(0) && !empty.covers(0, 0.5))
   }
 
   test("boundary values are counted as inside (<=)") {
-    val p = new ColumnProfile(Array(1.0), Array(1.0))
+    val p = PerValueReference.profile(Array(1.0), Array(1.0))
     assert(p.within(0) == 1)
     assert(p.covers(0, 1.0) && !p.triggers(0))
   }

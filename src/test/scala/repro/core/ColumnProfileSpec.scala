@@ -19,7 +19,7 @@ class ColumnProfileSpec extends AnyFunSuite {
 
   test("covers and triggers equal the brute-force Definition 2 predicates") {
     val prop = Prop.forAll(genDists, genEdges, genM) { (dists, edges, m) =>
-      val p = new ColumnProfile(dists, edges)
+      val p = PerValueReference.profile(dists, edges)
       val n = dists.length
       edges.indices.forall { i =>
         val e = edges(i)
@@ -39,8 +39,8 @@ class ColumnProfileSpec extends AnyFunSuite {
     val genBase: Gen[Array[Double]] =
       Gen.frequency(1 -> Gen.const(Array.emptyDoubleArray), 6 -> Gen.listOf(genD).map(_.toArray))
     val prop = Prop.forAll(genBase, genEdges, genM, genD) { (dists, edges, m, d) =>
-      val base = new ColumnProfile(dists, edges)
-      val full = new ColumnProfile(dists :+ d, edges)
+      val base = PerValueReference.profile(dists, edges)
+      val full = PerValueReference.profile(dists :+ d, edges)
       edges.indices.forall(i => base.coversWith(ColumnProfile.bucket(d, edges), i, m) == full.covers(i, m))
     }
     val result = Check.check(
@@ -50,7 +50,7 @@ class ColumnProfileSpec extends AnyFunSuite {
 
   test("coversWith on an empty base decides the extra value alone") {
     val edges = Array(0.5, 1.0)
-    val empty = new ColumnProfile(Array.emptyDoubleArray, edges)
+    val empty = PerValueReference.profile(Array.emptyDoubleArray, edges)
     def code(d: Double) = ColumnProfile.bucket(d, edges)
     assert(empty.coversWith(code(0.5), 0, 1.0))   // on the edge counts as within
     assert(!empty.coversWith(code(0.75), 0, 0.5))
@@ -75,8 +75,8 @@ class ColumnProfileSpec extends AnyFunSuite {
       val codes = dict.map(d => ColumnProfile.bucket(d, edges).toByte)
       val byCode = ColumnProfile.fromCodes(codes, ids, edges.length)
       val dists = ids.map(dict)
-      val byDist = new ColumnProfile(dists, edges)
-      val withExtra = new ColumnProfile(dists :+ dict(extra), edges)
+      val byDist = PerValueReference.profile(dists, edges)
+      val withExtra = PerValueReference.profile(dists :+ dict(extra), edges)
       dict.forall(d => edges.indices.forall(k => (d > edges(k)) == (ColumnProfile.bucket(d, edges) > k))) &&
       byCode.size == byDist.size &&
       edges.indices.forall { i =>

@@ -14,6 +14,10 @@ object PerValueReference {
 
   def dists(eval: DomainEval, values: Seq[String]): Seq[Double] = values.map(eval.distance)
 
+  /** [[ColumnProfile]] of one row of distances at the sorted, distinct `edges`. */
+  def profile(dists: Array[Double], edges: Array[Double]): ColumnProfile =
+    ColumnProfile.fromCodes(dists.map(ColumnProfile.bucket(_, edges).toByte), dists.indices.toArray, edges.length)
+
   def covered(ds: Seq[Double], dIn: Double, m: Double): Boolean =
     ds.nonEmpty && ds.count(_ <= dIn).toDouble / ds.size >= m
 
@@ -59,9 +63,9 @@ object PerValueReference {
   lazy val mixedRegistry: EvalRegistry = {
     val full = EvalRegistry.default(AutoTest.sampleCentroids(corpus, 6, 3L), Nil)
     new EvalRegistry(
-      CtaClassifier.sherlockBank(Vocab.nlDomains).take(3) ++ CtaClassifier.doduoBank(Vocab.nlDomains).take(3),
-      full.embeddingEvals,
-      IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")),
+      CtaClassifier.sherlockBank(Vocab.nlDomains).take(3) ++ CtaClassifier.doduoBank(Vocab.nlDomains).take(3) ++
+      full.byFamily(DomainEval.Embedding) ++
+      IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")) ++
       FunctionEval.allEvals)
   }
 }

@@ -26,10 +26,10 @@ class PredictorBatchSpec extends SparkSpec with Eventually {
 
   private val fixedEval = new HashedFixedEval
   private val registry = new EvalRegistry(
-    CtaClassifier.sherlockBank(Vocab.nlDomains).take(3) ++ CtaClassifier.doduoBank(Vocab.nlDomains).take(2),
-    Seq("january", "seattle").map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)).toIndexedSeq ++
-      Seq("march", "red").map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)),
-    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")),
+    CtaClassifier.sherlockBank(Vocab.nlDomains).take(3) ++ CtaClassifier.doduoBank(Vocab.nlDomains).take(2) ++
+    Seq("january", "seattle").map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)) ++
+      Seq("march", "red").map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)) ++
+    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")) ++
     FunctionEval.allEvals :+ fixedEval)
 
   // Grid and off-grid thresholds, across the ranges of all four families.

@@ -11,8 +11,7 @@ class PredictorSpec extends SparkSpec {
   private val patId   = new PatternEval("[a-zA-Z]+\\d+")
   private val funDate = FunctionEval.allEvals.find(_.id == "fun:validate_date").get
   private val embJan  = new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, "january")
-  private val registry = new EvalRegistry(
-    IndexedSeq.empty, IndexedSeq(embJan), IndexedSeq(patUnit, patId), IndexedSeq(funDate))
+  private val registry = new EvalRegistry(IndexedSeq(embJan, patUnit, patId, funDate))
 
   private val monthInner = {
     val dists = repro.domains.Vocab.months.map(embJan.distance)

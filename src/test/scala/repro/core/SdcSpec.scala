@@ -15,15 +15,9 @@ class SdcSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Sdc("x", 0.1, 0.9, 1.2, 0.9))
   }
 
-  test("preKey identifies the pre-condition for Appendix B.2 dedup") {
-    val a = Sdc("e", 0.1, 0.8, 0.9, 0.5)
-    val b = Sdc("e", 0.1, 0.9, 0.9, 0.7)
-    assert(a.preKey == b.preKey)
-  }
-
   /** A model holding the single SDC `sdc` over evaluator `eval`. */
   private def model(sdc: Sdc, eval: DomainEval): SdcModel =
-    new SdcModel(IndexedSeq(sdc), new EvalRegistry(IndexedSeq(eval), IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty))
+    new SdcModel(IndexedSeq(sdc), new EvalRegistry(IndexedSeq(eval)))
 
   /** Values the single-SDC model flags in `values`. */
   private def flagged(sdc: Sdc, eval: DomainEval, values: Seq[String]): Set[String] =

@@ -103,7 +103,7 @@ object SetSelection {
     var best: Array[Boolean] = null
     var bestObj = -1.0
     var t = 0
-    while (t < cfg.roundingTrials) {
+    while (t < Selection.RoundingTrials) {
       val picked = Array.tabulate(nx) { i =>
         Det.uniform(Det.combine(cfg.seed, t.toLong, i.toLong)) < xFrac(i)
       }

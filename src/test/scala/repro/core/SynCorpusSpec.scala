@@ -36,7 +36,7 @@ class SynCorpusSpec extends SparkSpec {
 
   test("detections find pattern-SDC catches of cross-domain injections") {
     val patEval = new PatternEval("\\d+ [a-zA-Z]+")
-    val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(patEval), IndexedSeq.empty)
+    val registry = new EvalRegistry(IndexedSeq(patEval))
     val plans = CandidateGen.enumerate(registry)
     val unitCols = (0 until 10).map { i =>
       TableColumn(s"u$i", "unit", (1 to 30).map(j => s"${i * 50 + j} oz"), Nil, 30)
@@ -53,7 +53,7 @@ class SynCorpusSpec extends SparkSpec {
 
   test("detection requires the pre-condition to hold on C(v^e)") {
     val patEval = new PatternEval("\\d+ [a-zA-Z]+")
-    val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(patEval), IndexedSeq.empty)
+    val registry = new EvalRegistry(IndexedSeq(patEval))
     val plans = CandidateGen.enumerate(registry)
     // Mixed column: only 50% match the pattern → no m >= 0.85 holds.
     val mixed = (1 to 10).map(j => s"$j oz") ++ (1 to 10).map(j => s"word$j")
@@ -98,8 +98,8 @@ class SynCorpusSpec extends SparkSpec {
   }
 
   test("detection pairs reference valid candidate indices") {
-    val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty,
-      IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")), IndexedSeq.empty)
+    val registry = new EvalRegistry(
+      IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+")))
     val plans = CandidateGen.enumerate(registry)
     val nCand = CandidateGen.totalCandidates(plans)
     val syn = SynCorpus.generate(corpus, 50, 5L)

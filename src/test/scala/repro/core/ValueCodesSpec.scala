@@ -93,7 +93,7 @@ class ValueCodesSpec extends SparkSpec {
 
   test("the codes job evaluates each distinct value once per evaluator") {
     val evals = IndexedSeq(new CountingEval("a"), new CountingEval("b"))
-    val countPlans = CandidateGen.enumerate(new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty, evals))
+    val countPlans = CandidateGen.enumerate(new EvalRegistry(evals))
     val values = corpus.flatMap(_.values)
     CountingEval.calls.clear()
     val codes = ValueCodes(spark, values, countPlans, nSlices = 3)
@@ -126,7 +126,7 @@ class ValueCodesSpec extends SparkSpec {
 
   test("a model whose evaluator needs more edges than a byte code can count is rejected at construction") {
     val eval = new CountingEval("wide_model")
-    val registry = new EvalRegistry(IndexedSeq.empty, IndexedSeq.empty, IndexedSeq.empty, IndexedSeq(eval))
+    val registry = new EvalRegistry(IndexedSeq(eval))
     // 64 SDCs with distinct d_in and d_out: 128 edges.
     val sdcs = (0 until 64).map(i => Sdc(eval.id, i.toDouble, 100.0 + i, 0.9, 0.9))
     val e = intercept[IllegalArgumentException](new SdcModel(sdcs, registry))

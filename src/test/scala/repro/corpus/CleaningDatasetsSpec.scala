@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class CleaningDatasetsSpec extends AnyFunSuite {
 
+  private val allColumns = CleaningDatasets.datasetNames.flatMap(CleaningDatasets.dataset)
+
   test("all nine datasets exist") {
     assert(CleaningDatasets.datasetNames.size == 9)
     CleaningDatasets.datasetNames.foreach(n => assert(CleaningDatasets.dataset(n).nonEmpty, n))
@@ -20,22 +22,22 @@ class CleaningDatasetsSpec extends AnyFunSuite {
     expected.foreach { case (ds, n) =>
       assert(CleaningDatasets.dataset(ds).size == n, s"$ds: ${CleaningDatasets.dataset(ds).size}")
     }
-    assert(CleaningDatasets.allColumns.size == 85) // Table 9's 9-dataset total
+    assert(allColumns.size == 85) // Table 9's 9-dataset total
   }
 
   test("columns covered by existing ground-truth roughly match Table 9's 36") {
-    val n = CleaningDatasets.allColumns.count(_.coveredByExistingGt)
+    val n = allColumns.count(_.coveredByExistingGt)
     assert(n >= 30 && n <= 42, s"covered-by-GT count $n")
   }
 
   test("error values are members of their columns") {
-    CleaningDatasets.allColumns.foreach { c =>
+    allColumns.foreach { c =>
       c.allErrors.foreach(e => assert(c.values.contains(e), s"${c.colId}: $e"))
     }
   }
 
   test("known and missed errors are disjoint") {
-    CleaningDatasets.allColumns.foreach { c =>
+    allColumns.foreach { c =>
       assert(c.knownErrors.intersect(c.missedErrors).isEmpty, c.colId)
     }
   }
@@ -62,16 +64,8 @@ class CleaningDatasetsSpec extends AnyFunSuite {
   }
 
   test("column ids are globally unique") {
-    val ids = CleaningDatasets.allColumns.map(_.colId)
+    val ids = allColumns.map(_.colId)
     assert(ids.distinct.size == ids.size)
-  }
-
-  test("toTableColumn flattens ground truth into the benchmark shape") {
-    val c = CleaningDatasets.dataset("hospital").find(_.column == "sample").get
-    val tc = c.toTableColumn
-    assert(tc.colId == "hospital/sample")
-    assert(tc.errors.toSet == c.allErrors)
-    assert(tc.values == c.values)
   }
 
   test("flights has no new-SDC errors (Table 9 shows 0 coverage there)") {

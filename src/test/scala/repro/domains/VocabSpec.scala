@@ -149,7 +149,7 @@ class VocabSpec extends AnyFunSuite {
     assert(Vocab.date.isMachine)
     assert(!Vocab.city.isMachine)
     assert(Vocab.nlDomains.forall(!_.isMachine))
-    assert(Vocab.machineDomains.forall(_.isMachine))
+    assert(Vocab.all.collect { case g: GenDomain => g }.forall(_.isMachine))
   }
 
   test("zeroPad equals %0<width>d for every width and value range") {

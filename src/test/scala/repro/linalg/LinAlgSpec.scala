@@ -49,16 +49,6 @@ class LinAlgSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](euclidean(Array(1.0), Array(1.0, 2.0)))
   }
 
-  test("cosineDistance of identical vectors is 0, opposite is 2") {
-    val a = Array(1.0, 1.0)
-    assert(approx(cosineDistance(a, a), 0.0))
-    assert(approx(cosineDistance(a, a.map(-_)), 2.0))
-  }
-
-  test("cosineDistance of zero vector is 1 by convention") {
-    assert(approx(cosineDistance(Array(0.0, 0.0), Array(1.0, 0.0)), 1.0))
-  }
-
   test("mean of vectors") {
     val m = mean(Seq(Array(0.0, 2.0), Array(2.0, 4.0)))
     assert(m.toSeq == Seq(1.0, 3.0))
