@@ -1,19 +1,20 @@
 package repro.baselines
 
-import org.apache.spark.sql.{SparkSession, functions => F}
 import repro.corpus.{ColumnStore, TableColumn}
 import repro.dists.Patterns
 
 /** Auto-Detect-style detector (paper Sec 6.2, [33]): flags values whose
   * syntactic pattern rarely co-occurs with the column's dominant pattern,
-  * using corpus-level pattern co-occurrence statistics (computed here as a
-  * Spark aggregation over the training corpus). Pattern-only, so coverage is
-  * limited to syntax-structured errors — the limitation the paper notes.
+  * using corpus-level pattern co-occurrence statistics (counted from each
+  * corpus column's pattern set). Pattern-only, so coverage is limited to
+  * syntax-structured errors — the limitation the paper notes.
+  *
+  * Both maps are keyed on the strings `Patterns.generalize` returns, and a
+  * pair is keyed in `String` order.
   */
 final class AutoDetect(
     patternCols: Map[String, Long],
     coocCols: Map[(String, String), Long],
-    nCols: Long,
 ) extends ErrorDetector {
 
   override val name = "AutoDetect"
@@ -33,9 +34,8 @@ final class AutoDetect(
   override def detect(col: TableColumn): Seq[(String, Double)] = {
     if (col.values.size < 4) return Seq.empty
     val pats = col.values.map(Patterns.generalize)
-    val byPat = pats.groupBy(identity)
-    val (dominant, doms) = byPat.maxBy(_._2.size)
-    if (doms.size.toDouble / col.values.size < 0.7) return Seq.empty
+    val (dominant, nDom) = Patterns.dominant(pats)
+    if (nDom.toDouble / col.values.size < 0.7) return Seq.empty
     // log 2 ⇔ co-occurrence probability below ~1/2: only flag genuinely
     // rare pattern pairs, not common companions (e.g. two date formats).
     col.values.indices.collect {
@@ -47,26 +47,13 @@ final class AutoDetect(
 
 object AutoDetect {
 
-  /** Train co-occurrence statistics from a corpus (Spark aggregation). */
-  def train(spark: SparkSession, corpus: Seq[TableColumn]): AutoDetect = {
-    import spark.implicits._
-    val df = ColumnStore.toDf(spark, corpus)
-    val genUdf = F.udf((v: String) => Patterns.generalize(v))
-    // distinct patterns per column
-    val colPat = ColumnStore.explode(df)
-      .select($"col_id", genUdf($"value").as("pattern"))
-      .distinct()
-      .cache()
-    val single = colPat.groupBy($"pattern").agg(F.count(F.lit(1)).as("n"))
-      .as[(String, Long)].collect().toMap
-    val cooc = colPat.as("a")
-      .join(colPat.as("b"), F.col("a.col_id") === F.col("b.col_id") &&
-        F.col("a.pattern") < F.col("b.pattern"))
-      .groupBy(F.col("a.pattern").as("p"), F.col("b.pattern").as("q"))
-      .agg(F.count(F.lit(1)).as("n"))
-      .as[(String, String, Long)].collect()
-      .map { case (p, q, n) => ((p, q), n) }.toMap
-    colPat.unpersist()
-    new AutoDetect(single, cooc, corpus.size.toLong)
+  /** Count, over the corpus columns, the columns that hold each pattern and
+    * each pair of patterns.
+    */
+  def train(corpus: Seq[TableColumn]): AutoDetect = {
+    val patternSets = Patterns.columnCounts(ColumnStore.rows(corpus)).map(_.keys.toIndexedSeq.sorted)
+    val pairs = patternSets.view.flatMap(_.combinations(2).map(pq => (pq(0), pq(1))))
+    new AutoDetect(patternSets.view.flatten.groupMapReduce(identity)(_ => 1L)(_ + _),
+      pairs.groupMapReduce(identity)(_ => 1L)(_ + _))
   }
 }

@@ -22,10 +22,9 @@ final class GptSim(val name: String, fpMult: Double, seed: Long) extends ErrorDe
 
   override def detect(col: TableColumn): Seq[(String, Double)] = {
     val pats = col.values.map(Patterns.generalize)
-    val dominant =
-      if (col.values.isEmpty) ""
-      else pats.groupBy(identity).maxBy(_._2.size)._1
-    val domFrac = if (pats.isEmpty) 0.0 else pats.count(_ == dominant).toDouble / pats.size
+    val (dominant, domFrac) =
+      if (pats.isEmpty) ("", 0.0)
+      else { val (p, n) = Patterns.dominant(pats); (p, n.toDouble / pats.size) }
     // Column-level semantics: an LLM reads the whole column and infers its
     // topic, so a known word of a *different* topic stands out ("berlin"
     // among first names).

@@ -18,8 +18,8 @@ object Vendors {
     override def detect(col: TableColumn): Seq[(String, Double)] = {
       if (col.values.size < 10) return Seq.empty
       val pats = col.values.map(Patterns.generalize)
-      val (dominant, doms) = pats.groupBy(identity).maxBy(_._2.size)
-      if (doms.size.toDouble / col.values.size < 0.95) return Seq.empty
+      val (dominant, nDom) = Patterns.dominant(pats)
+      if (nDom.toDouble / col.values.size < 0.95) return Seq.empty
       col.values.indices.collect { case i if pats(i) != dominant => (col.values(i), 0.5) }
     }
   }

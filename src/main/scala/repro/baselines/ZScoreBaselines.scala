@@ -61,7 +61,7 @@ object ZScoreBaselines {
     override def detect(col: TableColumn): Seq[(String, Double)] = {
       if (col.values.size < 3) return Seq.empty
       val pats = col.values.map(Patterns.generalize)
-      val dominant = pats.groupBy(identity).maxBy(_._2.size)._1
+      val dominant = Patterns.dominant(pats)._1
       detectWith(col.values, pats.map(p => if (p == dominant) 0.0 else 1.0).toArray)
     }
   }

@@ -110,11 +110,10 @@ object AutoTest {
     // ---- candidate generation + statistical assessment -------------------
     // One code per (evaluator, distinct corpus value), shared by the
     // contingency pass and the C_syn detections: every C_syn value is a
-    // corpus value.
+    // corpus value. The codes job is the only Spark job of training.
     val ((assessed0, plans, registry, codes, counts), tCand) = timed {
       val centroids = sampleCentroids(corpus, cfg.nCentroids, cfg.seed)
-      val corpusDf = ColumnStore.toDf(spark, corpus)
-      val patterns = Patterns.minePatterns(ColumnStore.explode(corpusDf), topK = cfg.nPatterns)
+      val patterns = Patterns.mine(ColumnStore.rows(corpus), topK = cfg.nPatterns)
       val registry = cfg.dropFamilies.foldLeft(EvalRegistry.default(centroids, patterns))(_ dropFamily _)
       val plans = CandidateGen.enumerate(registry)
       val codes = ValueCodes(spark, corpus.iterator.flatMap(_.values), plans)

@@ -22,13 +22,17 @@ final case class TableColumn(
   def isDirty: Boolean = errors.nonEmpty
 }
 
-/** DataFrame conversions for column collections.
+/** Row views of column collections.
   *
-  * Corpora live as DataFrames with schema
-  * (col_id, domain_tag, values: array<string>, errors: array<string>,
-  * n_total_vals) and are exploded to (col_id, value) for the distance passes.
+  * Training reads a corpus on the driver as (col_id, value) rows. Table 3's
+  * statistics read it as a DataFrame with schema (col_id, domain_tag,
+  * values: array<string>, errors: array<string>, n_total_vals).
   */
 object ColumnStore {
+
+  /** (col_id, value) rows on the driver, as `explode` yields them. */
+  def rows(cols: Seq[TableColumn]): Iterator[(String, String)] =
+    cols.iterator.flatMap(c => c.values.iterator.map(v => (c.colId, v)))
 
   def toDf(spark: SparkSession, cols: Seq[TableColumn]): DataFrame = {
     import spark.implicits._

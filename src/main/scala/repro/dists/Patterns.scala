@@ -2,7 +2,6 @@ package repro.dists
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.types.UTF8String
-import scala.collection.mutable
 
 /** Pattern-based domain evaluation (paper Sec 3, method 3).
   *
@@ -13,7 +12,8 @@ import scala.collection.mutable
   *
   * The pattern *miner* reproduces Sec 5.1's "generate common patterns
   * observed in our corpus": patterns are ranked by how many corpus columns
-  * they dominate, counted in one map-side Spark job.
+  * they dominate. Each column's pattern counts come from one driver-side
+  * pass, [[columnCounts]], which the Auto-Detect baseline shares.
   */
 object Patterns {
 
@@ -50,48 +50,40 @@ object Patterns {
     if (p.length > 60) p.substring(0, 60) + "…" else p
   }
 
-  /** Mine the `topK` patterns that most often *dominate* a corpus column
-    * (dominance = the pattern covers >= `domFrac` of the column's values).
-    * Input: DataFrame with (col_id: string, value: string).
-    *
-    * One map-side job, no shuffle: each partition counts (column, pattern)
-    * pairs, and the driver merges the partial counts, so a column split
-    * across partitions is counted whole. Patterns are ranked by the number
-    * of columns they dominate, descending, ties by UTF-8 byte order, as
-    * Spark orders strings.
+  /** Each column's pattern counts: (column id, value) rows grouped by column
+    * id, as SQL groups them, with `pattern` applied to each value. A null
+    * column id never joins to its column in SQL; its rows are skipped.
     */
-  def minePatterns(exploded: DataFrame, topK: Int = 45, domFrac: Double = 0.8): Seq[String] = {
-    val partial = exploded.select("col_id", "value").rdd.mapPartitions { rows =>
-      val counts = mutable.HashMap.empty[(String, String), Long]
-      rows.foreach { r =>
-        // A null col_id never joins to its column total in SQL; skip it.
-        if (!r.isNullAt(0)) {
-          val key = (r.getString(0), asSparkString(generalize(r.getString(1))))
-          counts(key) = counts.getOrElse(key, 0L) + 1L
-        }
-      }
-      counts.iterator
-    }.collect()
+  def columnCounts(rows: Iterator[(String, String)],
+                   pattern: String => String = generalize): Iterable[Map[String, Long]] =
+    rows.filter(_._1 != null).toSeq.groupMap(_._1)(r => pattern(r._2)).values
+      .map(_.groupMapReduce(identity)(_ => 1L)(_ + _))
 
-    val perCol = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
-    partial.foreach { case ((col, pattern), n) =>
-      val m = perCol.getOrElseUpdate(col, mutable.HashMap.empty)
-      m(pattern) = m.getOrElse(pattern, 0L) + n
-    }
-    val nDominated = mutable.HashMap.empty[String, Long]
-    perCol.valuesIterator.foreach { counts =>
-      val total = counts.valuesIterator.sum
-      counts.foreach { case (pattern, cnt) =>
-        if (cnt >= total * domFrac && pattern != "<empty>")
-          nDominated(pattern) = nDominated.getOrElse(pattern, 0L) + 1L
+  /** Mine the `topK` patterns that most often *dominate* a corpus column
+    * (cover >= `domFrac` of its values) from (column id, value) rows. They
+    * rank by the number of columns dominated, descending, ties in UTF-8 byte
+    * order, as Spark orders strings. A pattern is counted as the string Spark
+    * stores for it, so an unpaired surrogate reads '?'.
+    */
+  def mine(rows: Iterator[(String, String)], topK: Int, domFrac: Double = 0.8): Seq[String] =
+    columnCounts(rows, v => asSparkString(generalize(v))).toSeq
+      .flatMap { counts =>
+        val total = counts.values.sum
+        counts.collect { case (pattern, cnt) if cnt >= total * domFrac && pattern != "<empty>" => pattern }
       }
-    }
-    nDominated.toSeq
+      .groupMapReduce(identity)(_ => 1L)(_ + _).toSeq
       .map { case (pattern, n) => (pattern, n, UTF8String.fromString(pattern)) }
       .sortWith { (a, b) => a._2 > b._2 || (a._2 == b._2 && a._3.compareTo(b._3) < 0) }
       .take(topK)
       .map(_._1)
-  }
+
+  /** [[mine]] over a DataFrame with (col_id: string, value: string). */
+  def minePatterns(exploded: DataFrame, topK: Int = 45, domFrac: Double = 0.8): Seq[String] =
+    mine(exploded.select("col_id", "value").collect().iterator.map(r => (r.getString(0), r.getString(1))),
+      topK, domFrac)
+
+  /** The most frequent pattern of `pats` and its count; ties go to the first in `groupBy`'s map. */
+  def dominant(pats: Seq[String]): (String, Int) = pats.groupBy(identity).view.mapValues(_.size).maxBy(_._2)
 
   /** The string Spark stores for `s`: UTF-8 encoding replaces an unpaired
     * surrogate (a truncated pattern can end in one) with '?'.

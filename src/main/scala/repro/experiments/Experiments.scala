@@ -22,8 +22,10 @@ import repro.util.Det
   */
 object Experiments {
 
-  private def envInt(name: String, default: Int): Int =
-    sys.env.get(name).map(_.toInt).getOrElse(default)
+  /** A positive integer setting; a malformed value is rejected, naming the variable. */
+  private[experiments] def envInt(name: String, default: Int, env: Map[String, String] = sys.env): Int =
+    env.get(name).fold(default)(s => s.toIntOption.filter(_ > 0).getOrElse(
+      throw new IllegalArgumentException(s"$name must be a positive integer, got '$s'")))
 
   val CorpusCols: Int = envInt("REPRO_CORPUS_COLS", 3000)
   val BenchCols: Int  = envInt("REPRO_BENCH_COLS", 1200)
@@ -75,8 +77,8 @@ object Experiments {
     })
 
   private val autoDetectCache = scala.collection.concurrent.TrieMap.empty[String, AutoDetect]
-  def autoDetect(spark: SparkSession, corpusName: String): AutoDetect =
-    autoDetectCache.getOrElseUpdate(corpusName, AutoDetect.train(spark, corpus(corpusName)))
+  def autoDetect(corpusName: String): AutoDetect =
+    autoDetectCache.getOrElseUpdate(corpusName, AutoDetect.train(corpus(corpusName)))
 
   // ---------------------------------------------------------------- methods
 
@@ -101,7 +103,7 @@ object Experiments {
       case "All-Constraints" => Predictor.predict(spark, trained(spark, trainCorpus).allConstraintsModel, cols)
       case "Fine-Select"     => Predictor.predict(spark, trained(spark, trainCorpus).fineModel, cols)
       case "Coarse-Select"   => Predictor.predict(spark, trained(spark, trainCorpus).coarseModel, cols)
-      case "AutoDetect"      => DetectorRunner.run(spark, autoDetect(spark, trainCorpus), cols)
+      case "AutoDetect"      => DetectorRunner.run(spark, autoDetect(trainCorpus), cols)
       case other             => DetectorRunner.run(spark, detectorByName(other), cols)
     }
 

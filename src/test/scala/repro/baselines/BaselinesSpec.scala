@@ -98,12 +98,26 @@ class BaselinesSpec extends SparkSpec {
 
   test("AutoDetect learns pattern incompatibility from a corpus") {
     val corpus = CorpusGen.generate(CorpusGen.relationalProfile(nCols = 300))
-    val ad = AutoDetect.train(spark, corpus)
+    val ad = AutoDetect.train(corpus)
     val preds = ad.detect(unitCol)
     assert(preds.map(_._1).contains("0.05%"))
     // but it cannot see semantic (non-pattern) errors
     val semPreds = ad.detect(col("country", Vocab.countriesCommon.take(12) :+ "liechstein"))
     assert(!semPreds.map(_._1).contains("liechstein"))
+  }
+
+  test("AutoDetect finds the co-occurrence of non-ASCII patterns") {
+    // "\d+😀" sorts below "\d+，" in UTF-16 code units but above it in
+    // UTF-8 bytes. 59 dashes then an emoji generalise to a pattern cut
+    // inside the surrogate pair.
+    val emoji = "\uD83D\uDE00"
+    val splitPair = "-" * 59 + emoji
+    val corpus = (1 to 10).map(i => col(s"c$i", Seq(s"$i，", s"${i + 1}，", s"$i$emoji", splitPair)))
+    val ad = AutoDetect.train(corpus)
+    val detected = col("d", (1 to 8).map(j => s"$j，") ++ Seq(s"7$emoji", splitPair))
+    assert(ad.detect(detected).isEmpty)
+    // a pattern the corpus never holds next to "\d+，" is still flagged
+    assert(ad.detect(col("e", (1 to 8).map(j => s"$j，") :+ "x-y")).map(_._1) == Seq("x-y"))
   }
 
   test("Vendor-A only fires on strongly dominant patterns") {

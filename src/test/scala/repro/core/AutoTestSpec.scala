@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.corpus.{BenchGen, CorpusGen, TableColumn}
 import repro.eval.PrCurve
 import repro.util.Det
@@ -35,6 +35,10 @@ class AutoTestSpec extends SparkSpec {
   test("training rejects a one-column corpus, naming the column count") {
     val e = intercept[IllegalArgumentException](AutoTest.train(spark, corpus.take(1), cfg))
     assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 1"))
+  }
+
+  test("train runs exactly one Spark job") {
+    assert(SparkJobs.count(spark)(AutoTest.train(spark, corpus.take(200), cfg.copy(nSyn = 100))) == 1)
   }
 
   test("shared-code contingency and detections equal the standalone passes") {

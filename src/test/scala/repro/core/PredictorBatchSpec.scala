@@ -1,13 +1,8 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
-import org.scalatest.concurrent.Eventually
-import org.scalatest.time.{Seconds, Span}
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.corpus.TableColumn
 import repro.dists.{CtaClassifier, DomainEval, EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
 import repro.domains.Vocab
@@ -22,7 +17,7 @@ final class HashedFixedEval extends DomainEval {
     if (v == null) Double.NaN else levels(Det.nextInt(Det.hashString(v), levels.length))
 }
 
-class PredictorBatchSpec extends SparkSpec with Eventually {
+class PredictorBatchSpec extends SparkSpec {
 
   private val fixedEval = new HashedFixedEval
   private val registry = new EvalRegistry(
@@ -102,26 +97,9 @@ class PredictorBatchSpec extends SparkSpec with Eventually {
   }
 
   test("batch predict runs one Spark job per call") {
-    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[String]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        jobs.add(Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull)
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
-      val model = new SdcModel(IndexedSeq(Sdc(fixedEval.id, 0.25, 1.0, 0.5, 0.9),
-        Sdc("fun:validate_date", 0.0, 0.5, 0.9, 0.95)), registry)
-      val cols = (0 until 50).map(i => TableColumn(s"c$i", "d", Seq(s"$i/1/2020", "x", s"v$i"), Nil, 3))
-      sc.setJobGroup("predict-under-test", "batch predict")
-      Predictor.predict(spark, model, cols)
-      sc.setJobGroup("marker", "marks the end of the predict jobs")
-      sc.parallelize(Seq(1), 1).count()
-      sc.clearJobGroup()
-      eventually(timeout(Span(30, Seconds)))(assert(jobs.contains("marker")))
-      val groups = ArrayBuffer.empty[String]
-      jobs.forEach(g => groups += g)
-      assert(groups.count(_ == "predict-under-test") == 1, groups)
-    } finally sc.removeSparkListener(listener)
+    val model = new SdcModel(IndexedSeq(Sdc(fixedEval.id, 0.25, 1.0, 0.5, 0.9),
+      Sdc("fun:validate_date", 0.0, 0.5, 0.9, 0.95)), registry)
+    val cols = (0 until 50).map(i => TableColumn(s"c$i", "d", Seq(s"$i/1/2020", "x", s"v$i"), Nil, 3))
+    assert(SparkJobs.count(spark)(Predictor.predict(spark, model, cols)) == 1)
   }
 }

@@ -119,7 +119,8 @@ class PatternsSpec extends SparkSpec {
     val prop = Prop.forAll(corpus, Gen.choose(1, 12), domFrac) { (cols, topK, frac) =>
       val df = exploded(cols)
       val expected = SqlPatternMiner.minePatterns(df, topK, frac)
-      Seq(1, 3, 16).forall(p => Patterns.minePatterns(df.repartition(p), topK, frac) == expected)
+      Patterns.mine(ColumnStore.rows(cols), topK, frac) == expected &&
+        Seq(1, 3, 16).forall(p => Patterns.minePatterns(df.repartition(p), topK, frac) == expected)
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(11L)), prop)
