@@ -44,27 +44,30 @@ object Assessment {
       pValue: Double,
   )
 
-  final case class AssessConfig(
-      hThreshold: Double = 0.8,
-      pThreshold: Double = 0.05,
-      /** Appendix B.1: prune candidates whose confidence upper bound cannot
-        * reach this level (equivalently a min-coverage cut).
-        */
-      minCoverageConfidence: Double = 0.9,
-      /** Table 8 ablates the Cohen's h gate and the Wilson interval; the
-        * chi-squared gate always applies.
-        */
-      useCohensH: Boolean = true,
-      useWilson: Boolean = true,
-      /** The corpus' base error rate (paper Sec 5.2: "~98% of columns are
-        * error-free", i.e. ~2% dirty). Triggers on genuinely-dirty corpus
-        * columns are true positives, not false positives (footnote 5), so
-        * the FPR estimate is debiased by this expected noise floor —
-        * without it, every narrow good rule pays ~2% of its coverage
-        * against the B_FPR budget and the budget binds spuriously.
-        */
-      corpusDirtyRate: Double = 0.02,
-  )
+  /** Cohen's h gate: minimum effect size (Eq 8). */
+  val HThreshold = 0.8
+
+  /** Chi-squared gate: maximum p-value. */
+  val PThreshold = 0.05
+
+  /** Appendix B.1: prune candidates whose confidence upper bound cannot
+    * reach this level (equivalently a min-coverage cut).
+    */
+  val MinCoverageConfidence = 0.9
+
+  /** The corpus' base error rate (paper Sec 5.2: "~98% of columns are
+    * error-free", i.e. ~2% dirty). Triggers on genuinely-dirty corpus
+    * columns are true positives, not false positives (footnote 5), so
+    * the FPR estimate is debiased by this expected noise floor —
+    * without it, every narrow good rule pays ~2% of its coverage
+    * against the B_FPR budget and the budget binds spuriously.
+    */
+  val CorpusDirtyRate = 0.02
+
+  /** Table 8 ablates the Cohen's h gate and the Wilson interval; the
+    * chi-squared gate always applies.
+    */
+  final case class AssessConfig(useCohensH: Boolean = true, useWilson: Boolean = true)
 
   /** Contingency counts of a corpus Dataset: a flat array with 4 slots per
     * global candidate index, [ct, cnt, nct, ncnt]. The columns are collected
@@ -106,7 +109,7 @@ object Assessment {
   /** Apply the Sec 5.2 statistical gates and calibrate confidence. */
   def assess(plans: IndexedSeq[EvalPlan], counts: Array[Long], totalCols: Long,
              cfg: AssessConfig): IndexedSeq[AssessedCandidate] = {
-    val minCoverage = Stats.minCoverageFor(cfg.minCoverageConfidence)
+    val minCoverage = Stats.minCoverageFor(MinCoverageConfidence)
     val out = IndexedSeq.newBuilder[AssessedCandidate]
     plans.foreach { plan =>
       plan.candidates.foreach { c =>
@@ -118,14 +121,14 @@ object Assessment {
           val h = Stats.cohensH(cc.rhoBar, cc.rho)
           val chi = Stats.chiSquared2x2(cc.ct, cc.cnt, cc.nct, cc.ncnt)
           val p = Stats.chiSquaredPValue1Dof(chi)
-          if ((!cfg.useCohensH || h >= cfg.hThreshold) && p <= cfg.pThreshold) {
+          if ((!cfg.useCohensH || h >= HThreshold) && p <= PThreshold) {
             val conf =
               if (cfg.useWilson) Stats.wilsonConfidence(cc.ct, cc.cnt)
               else Stats.plainConfidence(cc.ct, cc.cnt)
             if (conf > 0.0) {
               val fpr =
                 if (totalCols == 0) 0.0
-                else math.max(0.0, cc.ct - cfg.corpusDirtyRate * cc.nCovered) / totalCols
+                else math.max(0.0, cc.ct - CorpusDirtyRate * cc.nCovered) / totalCols
               out += AssessedCandidate(c.toSdc(conf), cc, fpr, h, p)
             }
           }

@@ -122,15 +122,9 @@ object AutoTest {
       (assessed, plans, registry, codes, counts)
     }
 
-    // ---- re-index surviving candidates for the recall pass ---------------
-    val assessedIdx: Map[(String, Double, Double, Double), Int] =
-      assessed0.zipWithIndex.map { case (a, i) => ((a.sdc.evalId, a.sdc.dIn, a.sdc.dOut, a.sdc.m), i) }.toMap
-    val assessedPlans: IndexedSeq[EvalPlan] = plans.flatMap { p =>
-      val kept = p.candidates.flatMap { c =>
-        assessedIdx.get((c.evalId, c.dIn, c.dOut, c.m)).map(newIdx => c.copy(idx = newIdx))
-      }
-      if (kept.isEmpty) None else Some(p.copy(candidates = kept))
-    }
+    // ---- R_all on the grid for the recall pass: idx = position in R_all --
+    val assessedPlans: IndexedSeq[EvalPlan] =
+      CandidateGen.plansFor(assessed0.map(_.sdc), registry)((eval, _) => CandidateGen.thresholds(eval))
 
     // ---- distant-supervision detections ----------------------------------
     val (detections, tSyn) = timed {

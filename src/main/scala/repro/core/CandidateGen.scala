@@ -44,7 +44,7 @@ object CandidateGen {
     (g.dIns ++ g.dOuts).distinct.sorted.toArray
   }
 
-  /** One enumerated candidate; threshold indices refer to [[thresholds]]. */
+  /** One candidate; threshold indices refer to its plan's thresholds. */
   final case class Candidate(
       idx: Int,
       evalId: String,
@@ -61,24 +61,38 @@ object CandidateGen {
   final case class EvalPlan(eval: DomainEval, thresholds: Array[Double], candidates: IndexedSeq[Candidate])
 
   /** Enumerate the full candidate set over a registry, with stable global
-    * candidate indices.
+    * candidate indices. A candidate has no confidence until it is assessed.
     */
   def enumerate(registry: EvalRegistry): IndexedSeq[EvalPlan] = {
-    var nextIdx = 0
-    registry.all.map { eval =>
-      val g = gridFor(eval)
-      val ts = thresholds(eval)
-      val cands = for {
-        dIn  <- g.dIns
-        dOut <- g.dOuts if dOut > dIn
-        m    <- g.ms
-      } yield {
-        val c = Candidate(nextIdx, eval.id, dIn, dOut, m,
-          dInIdx = ts.indexWhere(_ == dIn), dOutIdx = ts.indexWhere(_ == dOut))
-        nextIdx += 1
-        c
-      }
-      EvalPlan(eval, ts, cands.toIndexedSeq)
+    val grid = for {
+      eval <- registry.all
+      g = gridFor(eval)
+      dIn  <- g.dIns
+      dOut <- g.dOuts if dOut > dIn
+      m    <- g.ms
+    } yield Sdc(eval.id, dIn, dOut, m, confidence = 0.0)
+    plansFor(grid, registry)((eval, _) => thresholds(eval))
+  }
+
+  /** Plans over a list of SDCs, one per evaluator in first-appearance order.
+    * Each candidate's `idx` is its SDC's position in `sdcs`, and its threshold
+    * indices refer to `edges(eval, its SDCs)`, which must hold its d_in and
+    * d_out. [[enumerate]] lays the grid out and `AutoTest.train` lays R_all
+    * out at the grid [[thresholds]]; [[SdcModel]] lays its SDCs out at their
+    * own d_in and d_out.
+    */
+  def plansFor(sdcs: IndexedSeq[Sdc], registry: EvalRegistry)(
+      edges: (DomainEval, IndexedSeq[Sdc]) => Array[Double]): IndexedSeq[EvalPlan] = {
+    val members = sdcs.indices.groupBy(i => sdcs(i).evalId)
+    sdcs.map(_.evalId).distinct.map { evalId =>
+      val eval = registry.byId.getOrElse(evalId,
+        throw new IllegalArgumentException(s"SDC references unknown evaluator $evalId"))
+      val idxs = members(evalId)
+      val ts = edges(eval, idxs.map(sdcs))
+      EvalPlan(eval, ts, idxs.map { i =>
+        val s = sdcs(i)
+        Candidate(i, evalId, s.dIn, s.dOut, s.m, dInIdx = ts.indexWhere(_ == s.dIn), dOutIdx = ts.indexWhere(_ == s.dOut))
+      })
     }
   }
 

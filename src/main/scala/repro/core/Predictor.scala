@@ -4,7 +4,8 @@ import java.util.stream.IntStream
 
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
-import repro.dists.{DomainEval, EvalBank, EvalRegistry}
+import repro.core.CandidateGen.{Candidate, EvalPlan}
+import repro.dists.{EvalBank, EvalRegistry}
 
 /** One error prediction: `value` in column `colId` is flagged with the given
   * confidence (max over all triggering SDCs, Example 3).
@@ -13,116 +14,108 @@ final case class Prediction(colId: String, value: String, confidence: Double)
 
 /** An executable set of SDCs (the online-prediction stage, paper Fig 5).
   *
-  * Applies the Appendix B.2 optimisation: SDCs sharing a pre-condition
-  * (evalId, d_in, m) are grouped so each pre-condition is decided once per
-  * column. Each evaluator's edges are the sorted, distinct d_in and d_out of
-  * its SDCs, so a value's edge-bucket code decides both conditions
-  * (DESIGN §5): one kernel decides a column from codes, whether
-  * [[predictColumn]] computes them with its own [[EvalBank]] or
+  * The SDCs are laid out as [[CandidateGen.EvalPlan]]s
+  * ([[CandidateGen.plansFor]]), in kernel order: by evaluator id, then
+  * pre-condition (d_in, m), then model order. Each evaluator's edges are the
+  * sorted, distinct d_in and d_out of its SDCs, so a value's edge-bucket code
+  * decides both conditions (DESIGN §5). Per column, each evaluator is
+  * profiled once ([[ColumnProfile]]), so every pre-condition is an O(1)
+  * lookup however many SDCs share it (the Appendix B.2 dedup). One kernel
+  * decides a column from codes, whether [[predictColumn]] and
+  * [[explainColumn]] compute them with the model's own [[EvalBank]] or
   * [[Predictor.predict]] looks them up in a batch's [[ValueCodes]].
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
-  import SdcModel.{Group, Rules}
+  /** The SDCs in kernel order; candidate `idx` indexes it. */
+  private val ordered: IndexedSeq[Sdc] = sdcs.sortBy(s => (s.evalId, s.dIn, s.m))
 
-  private val byEval: IndexedSeq[Rules] =
-    sdcs.groupBy(_.evalId).toIndexedSeq.sortBy(_._1).map { case (evalId, ss) =>
-      val eval = registry.byId.getOrElse(evalId,
-        throw new IllegalArgumentException(s"model references unknown evaluator $evalId"))
-      val edges = ss.flatMap(s => Seq(s.dIn, s.dOut)).distinct.sorted.toArray
-      ValueCodes.requireByteCodes(eval, edges.length)
-      val groups = ss.groupBy(s => (s.dIn, s.m)).toIndexedSeq.sortBy(_._1).map {
-        case ((dIn, m), members) => Group(edges.indexOf(dIn), m, members, members.map(s => edges.indexOf(s.dOut)).toArray)
-      }
-      Rules(eval, edges, groups)
-    }
-
-  /** The evaluators the SDCs reference, and each one's edges, in kernel order. */
-  private[core] val evals: IndexedSeq[DomainEval] = byEval.map(_.eval)
-  private[core] val edges: IndexedSeq[Array[Double]] = byEval.map(_.edges)
+  private[core] val plans: IndexedSeq[EvalPlan] =
+    CandidateGen.plansFor(ordered, registry)((_, ss) => ss.flatMap(s => Seq(s.dIn, s.dOut)).distinct.sorted.toArray)
+  plans.foreach(p => ValueCodes.requireByteCodes(p.eval, p.thresholds.length))
 
   /** Built on the first single-column call: batch prediction codes its
     * values with the bank of its codes job instead.
     */
-  private lazy val bank = new EvalBank(evals)
+  private lazy val bank = new EvalBank(plans.map(_.eval))
 
   def size: Int = sdcs.size
 
   /** Distinct pre-conditions after dedup (latency driver, Appendix B.2). */
-  def nPreConditions: Int = byEval.iterator.map(_.groups.size).sum
+  def nPreConditions: Int = plans.iterator.map(_.candidates.map(c => (c.dInIdx, c.m)).distinct.size).sum
 
-  /** Codes of a column's own values, one row per evaluator, indexed by position. */
-  private def codes(values: Array[String]): IndexedSeq[Array[Byte]] = {
-    val dists = bank.distances(values)
-    byEval.indices.map { k =>
-      val row = new Array[Byte](values.length)
-      ValueCodes.encode(dists(k), edges(k), row, 0)
-      row
-    }
-  }
-
-  /** Calls `f` with each pre-condition group that holds on a column, and
-    * with its evaluator's codes. The column is given as value ids into
-    * `codes(k)`, the codes of evaluator k.
-    */
-  private def foreachCovered(ids: Array[Int], codes: IndexedSeq[Array[Byte]])(f: (Array[Byte], Group) => Unit): Unit =
-    byEval.indices.foreach { k =>
-      val rules = byEval(k)
-      val profile = ColumnProfile.fromCodes(codes(k), ids, rules.edges.length)
-      rules.groups.foreach(g => if (profile.covers(g.dInIdx, g.m)) f(codes(k), g))
-    }
+  /** Each plan's candidates, for the kernel's loop. */
+  private val candidates: Array[Array[Candidate]] = plans.map(_.candidates.toArray).toArray
 
   /** The prediction kernel: flagged value -> max confidence over the SDCs
-    * that trigger on it, for the column `values` whose ids in `codes` are `ids`.
+    * that trigger on it, for the column `values` whose ids in `rows(k)`, the
+    * codes of plan k, are `ids`. Each SDC whose pre-condition holds is passed
+    * to `covered`, in kernel order. SDCs that share a pre-condition are
+    * adjacent, so it is looked up once for them.
     */
-  private[core] def decide(values: Array[String], ids: Array[Int],
-                           codes: IndexedSeq[Array[Byte]]): Map[String, Double] = {
+  private[core] def decide(values: Array[String], ids: Array[Int], rows: IndexedSeq[Array[Byte]],
+                           covered: Sdc => Unit): Map[String, Double] = {
     val acc = scala.collection.mutable.Map.empty[String, Double]
-    foreachCovered(ids, codes) { (row, g) =>
+    var k = 0
+    while (k < candidates.length) {
+      val cands = candidates(k)
+      val row = rows(k)
+      val profile = ColumnProfile.fromCodes(row, ids, plans(k).thresholds.length)
+      var holds = false
       var i = 0
-      while (i < g.sdcs.size) {
-        val conf = g.sdcs(i).confidence
-        val dOutIdx = g.dOutIdx(i)
-        var j = 0
-        while (j < ids.length) {
-          if (row(ids(j)) > dOutIdx) {
-            val v = values(j)
-            if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
+      while (i < cands.length) {
+        val c = cands(i)
+        if (i == 0 || c.dInIdx != cands(i - 1).dInIdx || c.m != cands(i - 1).m) holds = profile.covers(c.dInIdx, c.m)
+        if (holds) {
+          val sdc = ordered(c.idx)
+          covered(sdc)
+          val conf = sdc.confidence
+          var j = 0
+          while (j < ids.length) {
+            if (row(ids(j)) > c.dOutIdx) {
+              val v = values(j)
+              if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
+            }
+            j += 1
           }
-          j += 1
         }
         i += 1
       }
+      k += 1
     }
     acc.toMap
   }
 
-  /** SDCs whose pre-condition holds on the column (the "covered by" relation
-    * of Sec 5.2 — used for Table 9's column-level coverage reporting).
-    */
-  def coveringSdcs(values: Seq[String]): IndexedSeq[Sdc] = {
+  /** [[decide]] on a column's own values, coded with the model's bank. */
+  private def decideColumn(values: Seq[String], covered: Sdc => Unit): Map[String, Double] = {
     val arr = values.toArray
-    val out = IndexedSeq.newBuilder[Sdc]
-    foreachCovered(Array.range(0, arr.length), codes(arr))((_, g) => out ++= g.sdcs)
-    out.result()
+    val dists = bank.distances(arr)
+    val rows = plans.indices.map { k =>
+      val row = new Array[Byte](arr.length)
+      ValueCodes.encode(dists(k), plans(k).thresholds, row, 0)
+      row
+    }
+    decide(arr, Array.range(0, arr.length), rows, covered)
   }
 
   /** Predict errors in one column: flagged value -> max confidence. */
-  def predictColumn(values: Seq[String]): Map[String, Double] = {
-    val arr = values.toArray
-    decide(arr, Array.range(0, arr.length), codes(arr))
+  def predictColumn(values: Seq[String]): Map[String, Double] = decideColumn(values, _ => ())
+
+  /** [[predictColumn]] together with the SDCs whose pre-condition holds on
+    * the column (the "covered by" relation of Sec 5.2, in kernel order), from
+    * one pass: Table 9 reports both.
+    */
+  def explainColumn(values: Seq[String]): SdcModel.Explanation = {
+    val covering = IndexedSeq.newBuilder[Sdc]
+    val flagged = decideColumn(values, covering += _)
+    SdcModel.Explanation(covering.result(), flagged)
   }
 }
 
 object SdcModel {
 
-  /** SDCs sharing the pre-condition (d_in, m), with each one's d_out, as
-    * indices into their evaluator's edges.
-    */
-  private final case class Group(dInIdx: Int, m: Double, sdcs: IndexedSeq[Sdc], dOutIdx: Array[Int])
-
-  /** One evaluator's sorted, distinct edges and its pre-condition groups. */
-  private final case class Rules(eval: DomainEval, edges: Array[Double], groups: IndexedSeq[Group])
+  /** A column's covering SDCs and its flagged values (value -> confidence). */
+  final case class Explanation(covering: IndexedSeq[Sdc], flagged: Map[String, Double])
 }
 
 object Predictor {
@@ -139,13 +132,13 @@ object Predictor {
   /** [[predict]] with the codes job over `nSlices` partitions (0: default). */
   private[core] def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn],
                             nSlices: Int): IndexedSeq[Prediction] = {
-    val codes = ValueCodes(spark, cols.iterator.flatMap(_.values), model.evals, model.edges, nSlices)
-    val rows = model.evals.map(codes.row)
+    val codes = ValueCodes(spark, cols.iterator.flatMap(_.values), model.plans, nSlices)
+    val rows = model.plans.map(p => codes.row(p.eval))
     val columns = cols.toIndexedSeq
     val byCol = new Array[Iterable[Prediction]](columns.size)
     IntStream.range(0, columns.size).parallel().forEach { i =>
       val col = columns(i)
-      byCol(i) = model.decide(col.values.toArray, codes.ids(col.values), rows)
+      byCol(i) = model.decide(col.values.toArray, codes.ids(col.values), rows, _ => ())
         .map { case (v, c) => Prediction(col.colId, v, c) }
     }
     byCol.iterator.flatten.toIndexedSeq

@@ -54,23 +54,19 @@ object ValueCodes {
     if (nEdges > MaxEdges) throw new IllegalArgumentException(
       s"evaluator ${eval.id} has $nEdges edges; edge-bucket codes hold at most $MaxEdges")
 
-  /** Codes of every plan's evaluator over the distinct `values`, computed in
-    * one Spark job with one [[EvalBank]] per executor.
+  /** Codes of every plan's evaluator at the plan's sorted, distinct
+    * thresholds, over the distinct `values`, computed in one Spark job with
+    * one [[EvalBank]] per executor.
     */
   def apply(spark: SparkSession, values: IterableOnce[String], plans: IndexedSeq[EvalPlan]): ValueCodes =
     apply(spark, values, plans, nSlices = 0)
 
-  private[core] def apply(spark: SparkSession, values: IterableOnce[String], plans: IndexedSeq[EvalPlan],
-                          nSlices: Int): ValueCodes =
-    apply(spark, values, plans.map(_.eval), plans.map(_.thresholds), nSlices)
-
-  /** Codes of each of `evals` at its sorted, distinct `edges`, over
-    * `nSlices` partitions, or by default one per `Chunk` values and at most
-    * four per core; the codes do not depend on it.
+  /** [[apply]] over `nSlices` partitions, or by default one per `Chunk`
+    * values and at most four per core; the codes do not depend on it.
     */
-  private[core] def apply(spark: SparkSession, values: IterableOnce[String], evals: IndexedSeq[DomainEval],
-                          edges: IndexedSeq[Array[Double]], nSlices: Int): ValueCodes = {
-    evals.indices.foreach(k => requireByteCodes(evals(k), edges(k).length))
+  private[core] def apply(spark: SparkSession, values: IterableOnce[String], plans: IndexedSeq[EvalPlan],
+                          nSlices: Int): ValueCodes = {
+    plans.foreach(p => requireByteCodes(p.eval, p.thresholds.length))
     val index = new java.util.HashMap[String, Integer]()
     val distinct = Array.newBuilder[String]
     values.iterator.foreach(v => if (index.putIfAbsent(v, index.size) == null) distinct += v)
@@ -78,7 +74,7 @@ object ValueCodes {
     val slices =
       if (nSlices > 0) nSlices
       else math.max(1, math.min(4 * spark.sparkContext.defaultParallelism, vs.length / Chunk))
-    new ValueCodes(index, evals.map(_.id).zip(codes(spark, vs, evals, edges, slices)).toMap)
+    new ValueCodes(index, plans.map(_.eval.id).zip(codes(spark, vs, plans, slices)).toMap)
   }
 
   /** Writes the code of each of `dists` at `edges` into `out` from `offset`. */
@@ -96,12 +92,12 @@ object ValueCodes {
     @transient lazy val bank: EvalBank = new EvalBank(evals)
   }
 
-  /** codes(k)(j) = bucket of evals(k)'s distance to values(j). */
-  private def codes(spark: SparkSession, values: Array[String], evals: IndexedSeq[DomainEval],
-                    edges: IndexedSeq[Array[Double]], nSlices: Int): Array[Array[Byte]] = {
-    val rows = Array.fill(evals.size)(new Array[Byte](values.length))
-    if (evals.nonEmpty && values.nonEmpty) {
-      val bc = spark.sparkContext.broadcast(new Coder(evals, edges))
+  /** codes(k)(j) = bucket of plans(k)'s distance to values(j) at its thresholds. */
+  private def codes(spark: SparkSession, values: Array[String], plans: IndexedSeq[EvalPlan],
+                    nSlices: Int): Array[Array[Byte]] = {
+    val rows = Array.fill(plans.size)(new Array[Byte](values.length))
+    if (plans.nonEmpty && values.nonEmpty) {
+      val bc = spark.sparkContext.broadcast(new Coder(plans.map(_.eval), plans.map(_.thresholds)))
       val blocks = spark.sparkContext.parallelize(values.toSeq, nSlices).mapPartitions { it =>
         val coder = bc.value
         val part = it.toArray

@@ -224,8 +224,7 @@ object Tables {
       var coveredCorrect = 0
       var det = 0; var strict = 0; var adjusted = 0
       cols.foreach { c =>
-        val covering = model.coveringSdcs(c.values)
-        val preds = model.predictColumn(c.values)
+        val SdcModel.Explanation(covering, preds) = model.explainColumn(c.values)
         if (covering.nonEmpty) {
           covered += 1
           // column-level judgement: an applied SDC is correct when it flags

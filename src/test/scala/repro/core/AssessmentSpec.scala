@@ -129,28 +129,39 @@ class AssessmentSpec extends SparkSpec {
   }
 
   test("assess prunes candidates with insufficient coverage (Appendix B.1)") {
-    // With a huge min-coverage confidence, nothing survives.
-    val strict = Assessment.assess(plans, counts, corpus.size.toLong,
-      Assessment.AssessConfig(minCoverageConfidence = 0.999))
-    assert(strict.isEmpty)
+    // Ten clean date columns: validate_date's candidates cover 10 columns,
+    // below the cut, and would pass every other gate.
+    val dateEval = FunctionEval.allEvals.find(_.id == "fun:validate_date").get
+    val dates = (0 until 10).map(i => TableColumn(s"date$i", "date",
+      (1 to 20).map(j => s"${j % 12 + 1}/${i + 1}/2020"), Nil, 20))
+    val withDates = corpus ++ dates
+    val dPlans = CandidateGen.enumerate(new EvalRegistry(IndexedSeq(patEval, dateEval)))
+    val dCounts = Assessment.contingency(spark, withDates.toDS(), dPlans)
+    val survivors = Assessment.assess(dPlans, dCounts, withDates.size.toLong, Assessment.AssessConfig())
+    val cut = Stats.minCoverageFor(0.9)
+    assert(survivors.exists(_.sdc.evalId == patEval.id))
+    survivors.foreach(a => assert(a.counts.nCovered >= cut, a.sdc))
+    val dateCands = dPlans(1).candidates.map { c =>
+      val b = c.idx * 4
+      (c, Assessment.ContingencyCounts(dCounts(b), dCounts(b + 1), dCounts(b + 2), dCounts(b + 3)))
+    }
+    assert(dateCands.nonEmpty)
+    dateCands.foreach { case (c, cc) =>
+      assert(cc.nCovered == dates.size && cc.nCovered < cut, c)
+      assert(Stats.cohensH(cc.rhoBar, cc.rho) >= Assessment.HThreshold, c)
+      assert(Stats.chiSquaredPValue1Dof(Stats.chiSquared2x2(cc.ct, cc.cnt, cc.nct, cc.ncnt)) <= Assessment.PThreshold, c)
+      assert(Stats.wilsonConfidence(cc.ct, cc.cnt) > 0, c)
+    }
+    assert(!survivors.exists(_.sdc.evalId == dateEval.id))
   }
 
   test("FPR estimate is the noise-debiased ct / |C| (footnote 5)") {
-    val cfg = Assessment.AssessConfig()
-    val assessed = Assessment.assess(plans, counts, corpus.size.toLong, cfg)
+    val assessed = Assessment.assess(plans, counts, corpus.size.toLong, Assessment.AssessConfig())
     assessed.foreach { a =>
       val expected = math.max(0.0,
-        a.counts.ct - cfg.corpusDirtyRate * a.counts.nCovered) / corpus.size
+        a.counts.ct - Assessment.CorpusDirtyRate * a.counts.nCovered) / corpus.size
       assert(math.abs(a.fpr - expected) < 1e-12)
       assert(a.fpr <= a.counts.ct.toDouble / corpus.size) // never above the raw ratio
-    }
-  }
-
-  test("FPR debias with zero dirty-rate reduces to the raw ratio") {
-    val assessed = Assessment.assess(plans, counts, corpus.size.toLong,
-      Assessment.AssessConfig(corpusDirtyRate = 0.0))
-    assessed.foreach { a =>
-      assert(math.abs(a.fpr - a.counts.ct.toDouble / corpus.size) < 1e-12)
     }
   }
 

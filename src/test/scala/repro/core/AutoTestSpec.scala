@@ -18,6 +18,20 @@ class AutoTestSpec extends SparkSpec {
 
   private lazy val corpus = CorpusGen.generate(CorpusGen.relationalProfile(nCols = 1500))
   private lazy val model = AutoTest.train(spark, corpus, cfg)
+  private lazy val noPat = AutoTest.train(spark, corpus.take(300),
+    cfg.copy(nSyn = 150, dropFamilies = Set(repro.dists.DomainEval.Pattern)))
+
+  /** Reference for `assessedPlans`: each enumerated plan's candidates that
+    * survive assessment, renumbered to their R_all positions, found by
+    * (evalId, d_in, d_out, m).
+    */
+  private def reindexed(m: AutoTest.TrainedModel): IndexedSeq[CandidateGen.EvalPlan] = {
+    val pos = m.assessed.zipWithIndex.map { case (a, i) => ((a.sdc.evalId, a.sdc.dIn, a.sdc.dOut, a.sdc.m), i) }.toMap
+    m.allPlans.flatMap { p =>
+      val kept = p.candidates.flatMap(c => pos.get((c.evalId, c.dIn, c.dOut, c.m)).map(i => c.copy(idx = i)))
+      if (kept.isEmpty) None else Some(p.copy(candidates = kept))
+    }
+  }
 
   test("sampleCentroids draws only from non-empty columns") {
     val cols = Seq(TableColumn("full", "d", Seq("x", "y"), Nil, 2)) ++
@@ -48,6 +62,18 @@ class AutoTestSpec extends SparkSpec {
     assert(model.detections == SynCorpus.detections(spark, syn, model.assessedPlans))
   }
 
+  test("assessedPlans equal the re-index of the enumerated plans, field by field, in order") {
+    Seq(model, noPat).foreach { m =>
+      val (got, want) = (m.assessedPlans, reindexed(m))
+      assert(got.nonEmpty)
+      assert(got.map(_.eval.id) == want.map(_.eval.id))
+      got.zip(want).foreach { case (g, w) =>
+        assert(g.thresholds.toSeq == w.thresholds.toSeq, g.eval.id)
+        assert(g.candidates == w.candidates, g.eval.id)
+      }
+    }
+  }
+
   test("training produces a non-trivial R_all across multiple families") {
     assert(model.assessed.size > 50, s"only ${model.assessed.size} assessed candidates")
     val families = model.assessed.map(_.sdc.evalId.takeWhile(_ != ':')).distinct
@@ -56,8 +82,8 @@ class AutoTestSpec extends SparkSpec {
 
   test("assessed candidates all pass the statistical gates") {
     model.assessed.foreach { a =>
-      assert(a.effectSize >= cfg.assessConfig.hThreshold)
-      assert(a.pValue <= cfg.assessConfig.pThreshold)
+      assert(a.effectSize >= Assessment.HThreshold)
+      assert(a.pValue <= Assessment.PThreshold)
       assert(a.sdc.confidence > 0 && a.sdc.confidence < 1)
     }
   }
@@ -129,8 +155,6 @@ class AutoTestSpec extends SparkSpec {
   }
 
   test("family ablation drops the corresponding constraints (Table 7 mechanism)") {
-    val noPat = AutoTest.train(spark, corpus.take(300),
-      cfg.copy(nSyn = 150, dropFamilies = Set(repro.dists.DomainEval.Pattern)))
     assert(!noPat.assessed.exists(_.sdc.evalId.startsWith("pat:")))
   }
 }

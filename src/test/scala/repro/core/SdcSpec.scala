@@ -27,14 +27,14 @@ class SdcSpec extends AnyFunSuite {
     val eval = new FixedEval(Map("a" -> 0.1, "b" -> 0.2, "c" -> 0.9))
     val sdc = Sdc("fixed", 0.5, 0.8, 0.6, 0.9)
     // 2/3 within dIn=0.5 >= m=0.6 → covered
-    assert(model(sdc, eval).coveringSdcs(Seq("a", "b", "c")) == Seq(sdc))
+    assert(model(sdc, eval).explainColumn(Seq("a", "b", "c")).covering == Seq(sdc))
     // 1/3 < 0.6 → not covered
-    assert(model(sdc, eval).coveringSdcs(Seq("a", "c", "c")).isEmpty)
+    assert(model(sdc, eval).explainColumn(Seq("a", "c", "c")).covering.isEmpty)
   }
 
   test("covers on empty column is false") {
     val m = model(Sdc("fixed", 0.5, 0.8, 0.6, 0.9), new FixedEval(Map.empty))
-    assert(m.coveringSdcs(Seq.empty).isEmpty)
+    assert(m.explainColumn(Seq.empty) == SdcModel.Explanation(IndexedSeq.empty, Map.empty))
     assert(m.predictColumn(Seq.empty).isEmpty)
   }
 
