@@ -16,7 +16,7 @@ class Table4QualityBench extends BenchBase {
     result.scores((method, bench, setting))._1
 
   private val baselines: Seq[String] =
-    repro.experiments.Experiments.methodRoster.collect { case (g, m) if g != "Ours" => m }
+    repro.experiments.Experiments.methods.collect { case m if m.group != "Ours" => m.name }
 
   test("Table 4 renders and persists") {
     emit("table4", result.rendered)

@@ -17,7 +17,7 @@ final class AutoDetect(
     coocCols: Map[(String, String), Long],
 ) extends ErrorDetector {
 
-  override val name = "AutoDetect"
+  override val name = AutoDetect.name
 
   /** Incompatibility of a value pattern with the column's dominant pattern:
     * −log P(pVal co-occurs | column has pDom), smoothed. High when the pair
@@ -46,6 +46,9 @@ final class AutoDetect(
 }
 
 object AutoDetect {
+
+  /** The detector's name, known before a corpus is counted. */
+  val name = "AutoDetect"
 
   /** Count, over the corpus columns, the columns that hold each pattern and
     * each pair of patterns.

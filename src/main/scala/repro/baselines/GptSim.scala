@@ -114,13 +114,4 @@ object GptSim {
 
   def isTypoOfKnown(v: String): Boolean =
     !knownWords.contains(v) && v.length >= 3 && sigs(v).exists(delSigs.contains)
-
-  def fewShotWithCot: ErrorDetector  = new GptSim("few-shot-with-COT", 1.0, Det.hashString("gpt-fs-cot"))
-  def fewShotNoCot: ErrorDetector    = new GptSim("few-shot-no-COT", 1.5, Det.hashString("gpt-fs"))
-  def zeroShotWithCot: ErrorDetector = new GptSim("zero-shot-with-COT", 2.0, Det.hashString("gpt-zs-cot"))
-  def zeroShotNoCot: ErrorDetector   = new GptSim("zero-shot-no-COT", 3.0, Det.hashString("gpt-zs"))
-  def fineTuned: ErrorDetector       = new GptSim("GPT-finetuned", 5.0, Det.hashString("gpt-ft"))
-
-  def all: Seq[ErrorDetector] =
-    Seq(fewShotWithCot, fewShotNoCot, zeroShotWithCot, zeroShotNoCot)
 }

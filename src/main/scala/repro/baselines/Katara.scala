@@ -37,6 +37,4 @@ object Katara {
   /** KB: domain name -> known entities (common heads only). */
   lazy val kb: Map[String, Set[String]] =
     Vocab.nlDomains.map(d => d.name -> d.common.map(DomainEval.normalize).toSet).toMap
-
-  def default: ErrorDetector = new Katara()
 }

@@ -48,7 +48,4 @@ object Vendors {
 
   lazy val placeholders: Set[String] =
     Vocab.metadataStrings.map(DomainEval.normalize).toSet -- Set("total", "various", "none")
-
-  def vendorA: ErrorDetector = new VendorA
-  def vendorB: ErrorDetector = new VendorB
 }

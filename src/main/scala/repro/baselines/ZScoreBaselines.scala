@@ -1,8 +1,7 @@
 package repro.baselines
 
 import repro.corpus.TableColumn
-import repro.dists.{CtaClassifier, DomainEval, FunctionEval, Patterns, SynthEmbedding}
-import repro.domains.Vocab
+import repro.dists.{DomainEval, FunctionEval, Patterns, SynthEmbedding}
 import repro.linalg.LinAlg
 
 /** Column-type-detection baselines (paper Sec 6.2, first group): each method
@@ -66,28 +65,10 @@ object ZScoreBaselines {
     }
   }
 
-  def sherlock: ErrorDetector =
-    new BankZScore("Sherlock", CtaClassifier.sherlockBank(Vocab.nlDomains).map(e => e: DomainEval))
-
-  def doduo: ErrorDetector =
-    new BankZScore("Doduo", CtaClassifier.doduoBank(Vocab.nlDomains).map(e => e: DomainEval))
-
-  def glove: ErrorDetector = new EmbeddingZScore("Glove", repro.dists.EvalRegistry.gloveEmbedding)
-
-  def sbert: ErrorDetector = new EmbeddingZScore("SentenceBERT", repro.dists.EvalRegistry.sbertEmbedding)
-
-  def regex: ErrorDetector = new RegexZScore
-
-  /** DataPrep-sim: the parse/clean-style validators. */
-  def dataprep: ErrorDetector = new BankZScore("DataPrep",
-    FunctionEval.allEvals.filter(e => Set("fun:validate_date", "fun:validate_time",
-      "fun:validate_number", "fun:validate_phone").contains(e.id)).map(e => e: DomainEval))
-
-  /** Validators-sim: the web/format validators. */
-  def validators: ErrorDetector = new BankZScore("Validators",
-    FunctionEval.allEvals.filter(e => Set("fun:validate_url", "fun:validate_email",
-      "fun:validate_ip", "fun:validate_credit_card").contains(e.id)).map(e => e: DomainEval))
-
-  def all: Seq[ErrorDetector] =
-    Seq(sherlock, doduo, glove, sbert, regex, dataprep, validators)
+  /** The `validate_*` function evaluators of the given kinds, in registry
+    * order: DataPrep-sim's parse/clean-style bank and Validators-sim's
+    * web/format bank.
+    */
+  def validatorBank(kinds: String*): IndexedSeq[DomainEval] =
+    FunctionEval.allEvals.filter(e => kinds.exists(k => e.id == s"fun:validate_$k"))
 }

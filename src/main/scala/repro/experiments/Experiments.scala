@@ -4,7 +4,9 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.AutoTest.TrainedModel
 import repro.core.{AutoTest, Prediction, Predictor, SdcModel}
-import repro.corpus.{BenchGen, CleaningDatasets, ColumnStore, CorpusGen, TableColumn}
+import repro.corpus.{BenchGen, CorpusGen, TableColumn}
+import repro.dists.{CtaClassifier, EvalRegistry}
+import repro.domains.Vocab
 import repro.eval.PrCurve
 import repro.outlier.OutlierDetectors
 import repro.util.Det
@@ -16,9 +18,10 @@ import repro.util.Det
   *   REPRO_BENCH_COLS   benchmark columns per bench (default 1200, as paper)
   *   REPRO_NSYN         |C_syn| (default 2500)
   *
-  * Heavy artefacts (corpora, trained models, benchmark variants) are
-  * memoised so the bench suites, which run sequentially in one JVM, share
-  * them — mirroring the paper's train-once / evaluate-many protocol.
+  * Heavy artefacts (corpora, trained models, benchmark variants, baseline
+  * detectors) are memoised so the bench suites, which run sequentially in
+  * one JVM, share them — mirroring the paper's train-once / evaluate-many
+  * protocol.
   */
 object Experiments {
 
@@ -55,13 +58,19 @@ object Experiments {
     Seq("real" -> 0.0, "+5%" -> 0.05, "+10%" -> 0.10, "+20%" -> 0.20)
 
   private val benchCache = scala.collection.concurrent.TrieMap.empty[(String, String), Seq[TableColumn]]
-  def benchSetting(benchName: String, setting: String): Seq[TableColumn] =
+  def benchSetting(benchName: String, setting: String): Seq[TableColumn] = {
+    val rate = ErrorSettings.toMap.getOrElse(setting,
+      throw new IllegalArgumentException(s"unknown error setting '$setting'"))
     benchCache.getOrElseUpdate((benchName, setting), {
-      val base = if (benchName == "st") stBench else rtBench
-      val rate = ErrorSettings.toMap.apply(setting)
+      val base = benchName match {
+        case "st"  => stBench
+        case "rt"  => rtBench
+        case other => throw new IllegalArgumentException(s"unknown bench '$other'")
+      }
       if (rate == 0.0) base
       else BenchGen.withSyntheticErrors(base, rate, Det.hashString(s"$benchName-$setting"))
     })
+  }
 
   // ----------------------------------------------------------------- models
 
@@ -76,75 +85,78 @@ object Experiments {
       m
     })
 
-  private val autoDetectCache = scala.collection.concurrent.TrieMap.empty[String, AutoDetect]
-  def autoDetect(corpusName: String): AutoDetect =
-    autoDetectCache.getOrElseUpdate(corpusName, AutoDetect.train(corpus(corpusName)))
-
   // ---------------------------------------------------------------- methods
 
-  /** Table 4's method roster: (group, name). */
-  def methodRoster: Seq[(String, String)] =
-    Seq(
-      "Ours" -> "All-Constraints", "Ours" -> "Fine-Select", "Ours" -> "Coarse-Select",
-    ) ++ Seq("Sherlock", "Doduo", "Glove", "SentenceBERT", "Regex", "DataPrep", "Validators")
-      .map("Column-type" -> _) ++
-      Seq("Data-cleaning" -> "AutoDetect", "Data-cleaning" -> "Katara") ++
-      Seq("SVDD", "DBOD", "LOF", "RKDE", "PPCA", "IForest").map("Outlier" -> _) ++
-      Seq("few-shot-with-COT", "few-shot-no-COT", "zero-shot-with-COT", "zero-shot-no-COT",
-        "GPT-finetuned").map("GPT" -> _) ++
-      Seq("Commercial" -> "Vendor-A", "Commercial" -> "Vendor-B")
-
-  /** Predictions of one method on a set of columns. Auto-Test variants and
-    * AutoDetect use the model trained on `trainCorpus`.
+  /** A row of Table 4: its group, its name and its predictions on a set of
+    * columns. The methods that train use the relational corpus.
     */
-  def methodPredictions(spark: SparkSession, method: String, cols: Seq[TableColumn],
-                        trainCorpus: String = "relational-tables"): IndexedSeq[Prediction] =
-    method match {
-      case "All-Constraints" => Predictor.predict(spark, trained(spark, trainCorpus).allConstraintsModel, cols)
-      case "Fine-Select"     => Predictor.predict(spark, trained(spark, trainCorpus).fineModel, cols)
-      case "Coarse-Select"   => Predictor.predict(spark, trained(spark, trainCorpus).coarseModel, cols)
-      case "AutoDetect"      => DetectorRunner.run(spark, autoDetect(trainCorpus), cols)
-      case other             => DetectorRunner.run(spark, detectorByName(other), cols)
-    }
-
-  def detectorByName(name: String): ErrorDetector = name match {
-    case "Sherlock"           => ZScoreBaselines.sherlock
-    case "Doduo"              => ZScoreBaselines.doduo
-    case "Glove"              => ZScoreBaselines.glove
-    case "SentenceBERT"       => ZScoreBaselines.sbert
-    case "Regex"              => ZScoreBaselines.regex
-    case "DataPrep"           => ZScoreBaselines.dataprep
-    case "Validators"         => ZScoreBaselines.validators
-    case "Katara"             => Katara.default
-    case "SVDD"               => OutlierDetectors.svdd
-    case "DBOD"               => OutlierDetectors.dbod
-    case "LOF"                => OutlierDetectors.lof
-    case "RKDE"               => OutlierDetectors.rkde
-    case "PPCA"               => OutlierDetectors.ppca
-    case "IForest"            => OutlierDetectors.iforest
-    case "few-shot-with-COT"  => GptSim.fewShotWithCot
-    case "few-shot-no-COT"    => GptSim.fewShotNoCot
-    case "zero-shot-with-COT" => GptSim.zeroShotWithCot
-    case "zero-shot-no-COT"   => GptSim.zeroShotNoCot
-    case "GPT-finetuned"      => GptSim.fineTuned
-    case "Vendor-A"           => Vendors.vendorA
-    case "Vendor-B"           => Vendors.vendorB
-    case other                => throw new IllegalArgumentException(s"unknown method $other")
+  sealed trait Method {
+    def group: String
+    def name: String
+    /** Scored on the real-error setting only. */
+    def realOnly: Boolean = false
+    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction]
   }
 
-  /** (F1@P=0.8, PR-AUC) of a method on one bench/setting. */
-  def score(spark: SparkSession, method: String, benchName: String, setting: String,
-            trainCorpus: String = "relational-tables"): (Double, Double) = {
-    val cols = benchSetting(benchName, setting)
-    val r = PrCurve.evaluate(methodPredictions(spark, method, cols, trainCorpus), cols)
-    (r.f1AtP80, r.prAuc)
+  /** An Auto-Test variant: one SDC set of a trained model. */
+  final case class Variant(name: String, model: TrainedModel => SdcModel) extends Method {
+    def group: String = "Ours"
+    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+      Predictor.predict(spark, model(trained(spark, "relational-tables")), cols)
   }
 
-  /** Quality of an arbitrary SdcModel on one bench/setting. */
-  def scoreModel(spark: SparkSession, model: SdcModel, benchName: String,
-                 setting: String): (Double, Double) = {
+  val AllConstraints: Variant = Variant("All-Constraints", _.allConstraintsModel)
+  val FineSelect: Variant     = Variant("Fine-Select", _.fineModel)
+  val CoarseSelect: Variant   = Variant("Coarse-Select", _.coarseModel)
+  val Variants: Seq[Variant]  = Seq(AllConstraints, FineSelect, CoarseSelect)
+
+  /** A baseline detector, built on first use and kept. */
+  final class Baseline(val group: String, val name: String, build: => ErrorDetector,
+                       override val realOnly: Boolean = false) extends Method {
+    lazy val detector: ErrorDetector = build
+    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+      DetectorRunner.run(spark, detector, cols)
+  }
+
+  /** Table 4's rows in order: the Auto-Test variants, then 20 baselines in
+    * five groups. Each detector is built once per JVM, with the list;
+    * AutoDetect trains on the relational corpus when first run.
+    */
+  lazy val methods: Seq[Method] = {
+    import OutlierDetectors._, ZScoreBaselines._
+    def group(g: String, realOnly: Boolean = false)(ds: ErrorDetector*): Seq[Baseline] =
+      ds.map(d => new Baseline(g, d.name, d, realOnly))
+    Variants ++
+      group("Column-type")(
+        new BankZScore("Sherlock", CtaClassifier.sherlockBank(Vocab.nlDomains)),
+        new BankZScore("Doduo", CtaClassifier.doduoBank(Vocab.nlDomains)),
+        new EmbeddingZScore("Glove", EvalRegistry.gloveEmbedding),
+        new EmbeddingZScore("SentenceBERT", EvalRegistry.sbertEmbedding),
+        new RegexZScore,
+        new BankZScore("DataPrep", validatorBank("date", "time", "number", "phone")),
+        new BankZScore("Validators", validatorBank("url", "email", "ip", "credit_card"))) ++
+      Seq(new Baseline("Data-cleaning", AutoDetect.name, AutoDetect.train(corpus("relational-tables")))) ++
+      group("Data-cleaning")(new Katara()) ++
+      group("Outlier")(new Svdd, new Dbod, new Lof(), new Rkde, new Ppca(), new IForest()) ++
+      group("GPT")(
+        new GptSim("few-shot-with-COT", 1.0, Det.hashString("gpt-fs-cot")),
+        new GptSim("few-shot-no-COT", 1.5, Det.hashString("gpt-fs")),
+        new GptSim("zero-shot-with-COT", 2.0, Det.hashString("gpt-zs-cot")),
+        new GptSim("zero-shot-no-COT", 3.0, Det.hashString("gpt-zs"))) ++
+      // as in the paper, the fine-tuned model is evaluated on real errors only
+      group("GPT", realOnly = true)(new GptSim("GPT-finetuned", 5.0, Det.hashString("gpt-ft"))) ++
+      group("Commercial")(new Vendors.VendorA, new Vendors.VendorB)
+  }
+
+  /** The Table 4 method named `name`. */
+  def method(name: String): Method =
+    methods.find(_.name == name).getOrElse(throw new IllegalArgumentException(s"unknown method '$name'"))
+
+  /** (F1@P=0.8, PR-AUC) of a method's predictions on one bench/setting. */
+  def score(benchName: String, setting: String)(
+      predict: Seq[TableColumn] => IndexedSeq[Prediction]): (Double, Double) = {
     val cols = benchSetting(benchName, setting)
-    val r = PrCurve.evaluate(Predictor.predict(spark, model, cols), cols)
+    val r = PrCurve.evaluate(predict(cols), cols)
     (r.f1AtP80, r.prAuc)
   }
 

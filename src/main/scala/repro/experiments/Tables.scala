@@ -1,8 +1,8 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Assessment, SdcModel}
-import repro.corpus.{CleaningDatasets, ColumnStore}
+import repro.core.{Prediction, Predictor, SdcModel}
+import repro.corpus.{CleaningDatasets, ColumnStore, TableColumn}
 import repro.dists.DomainEval
 
 /** Per-table experiment drivers (the reproduction index of DESIGN §4).
@@ -12,6 +12,45 @@ import repro.dists.DomainEval
 object Tables {
 
   import Experiments._
+
+  /** The (bench, setting) grid of Tables 4, 6 and 12, in column order;
+    * Tables 7 and 8 score its real-error cells.
+    */
+  private val Grid: Seq[(String, String)] = for (b <- Seq("st", "rt"); (s, _) <- ErrorSettings) yield (b, s)
+  private val GridHeader: Seq[String] = Grid.map { case (b, s) => s"$b $s" }
+  private val RealGrid: Seq[(String, String)] = Grid.filter(_._2 == "real")
+
+  /** A table row: its result key, its label cells and its predictions. */
+  private final case class Row[K](key: K, labels: Seq[String],
+                                  predict: Seq[TableColumn] => IndexedSeq[Prediction],
+                                  realOnly: Boolean = false)
+
+  /** A row scored with `model`, built when the row is first scored. */
+  private def modelRow[K](spark: SparkSession, key: K, labels: String*)(model: => SdcModel): Row[K] = {
+    lazy val m = model
+    Row(key, labels, Predictor.predict(spark, m, _))
+  }
+
+  /** Scores each row on each `grid` cell (the real-error cells only for a
+    * `realOnly` row), then renders the title and a table of the row labels
+    * and one "F1, AUC" cell per grid cell, "-" where a row is not scored.
+    */
+  private def scoreGrid[K](title: String, header: Seq[String], grid: Seq[(String, String)],
+                           rows: Seq[Row[K]]): (Map[(K, String, String), (Double, Double)], String) = {
+    val tag = title.takeWhile(_ != ':')
+    val scores = (for {
+      r <- rows
+      (bench, setting) <- grid if !r.realOnly || setting == "real"
+    } yield {
+      val t0 = System.nanoTime()
+      val p = score(bench, setting)(r.predict)
+      Console.err.println(f"[$tag] ${r.labels.mkString(" ")}%-30s $bench/$setting%-6s (f1, auc) = " +
+        f"${fmtPair(p)} [${(System.nanoTime() - t0) / 1e9}%.1f s]")
+      (r.key, bench, setting) -> p
+    }).toMap
+    val body = rows.map(r => r.labels ++ grid.map { case (b, s) => scores.get((r.key, b, s)).fold("-")(fmtPair) })
+    (scores, title + "\n" + table(header, body))
+  }
 
   // ---------------------------------------------------------------- Table 3
 
@@ -40,32 +79,11 @@ object Tables {
   )
 
   def runTable4(spark: SparkSession): Table4Result = {
-    val settings = for {
-      bench <- Seq("st", "rt")
-      (setting, _) <- ErrorSettings
-    } yield (bench, setting)
-    val scores = scala.collection.mutable.Map.empty[(String, String, String), (Double, Double)]
-    methodRoster.foreach { case (_, method) =>
-      settings.foreach { case (bench, setting) =>
-        // GPT-finetuned is evaluated on the real setting only (as the paper).
-        if (method != "GPT-finetuned" || setting == "real") {
-          val t0 = System.nanoTime()
-          scores((method, bench, setting)) = score(spark, method, bench, setting)
-          Console.err.println(f"[table4] $method%-20s $bench/$setting%-6s " +
-            f"(f1, auc) = ${fmtPair(scores((method, bench, setting)))} " +
-            f"[${(System.nanoTime() - t0) / 1e9}%.1f s]")
-        }
-      }
-    }
-    val header = Seq("Group", "Method") ++ settings.map { case (b, s) => s"$b $s" }
-    val rows = methodRoster.map { case (group, method) =>
-      Seq(group, method) ++ settings.map { case (b, s) =>
-        scores.get((method, b, s)).map(fmtPair).getOrElse("-")
-      }
-    }
-    Table4Result(scores.toMap,
-      "Table 4: quality comparisons (F1@P=0.8, PR-AUC) on ST-Bench and RT-Bench\n" +
-        table(header, rows))
+    val rows = methods.map(m => Row(m.name, Seq(m.group, m.name), m.predictions(spark, _), m.realOnly))
+    val (scores, rendered) = scoreGrid(
+      "Table 4: quality comparisons (F1@P=0.8, PR-AUC) on ST-Bench and RT-Bench",
+      Seq("Group", "Method") ++ GridHeader, Grid, rows)
+    Table4Result(scores, rendered)
   }
 
   // ---------------------------------------------------------------- Table 5
@@ -80,10 +98,10 @@ object Tables {
     val variants: Seq[(String, SdcModel)] =
       budgets.map(b => b.toString -> new SdcModel(
         m.reselect(bSize = b, delta = Some(m.config.delta)).selected.map(_.sdc), m.registry)) :+
-        (s"All-Constraints (${m.assessed.size})" -> m.allConstraintsModel)
+        (s"${AllConstraints.name} (${m.assessed.size})" -> m.allConstraintsModel)
     val rows = variants.map { case (name, model) =>
-      val (stF1, stAuc) = scoreModel(spark, model, "st", "real")
-      val (rtF1, rtAuc) = scoreModel(spark, model, "rt", "real")
+      val (stF1, stAuc) = score("st", "real")(Predictor.predict(spark, model, _))
+      val (rtF1, rtAuc) = score("rt", "real")(Predictor.predict(spark, model, _))
       val lat = latencyPerColumn(model, stBench)
       Console.err.println(f"[table5] B_size=$name%-22s st=($stF1%.2f,$stAuc%.2f) rt=($rtF1%.2f,$rtAuc%.2f) $lat%.4f s/col")
       Table5Row(name, stF1, stAuc, rtF1, rtAuc, lat)
@@ -105,24 +123,11 @@ object Tables {
   )
 
   def runTable6(spark: SparkSession): Table6Result = {
-    val cells = for {
-      corpusName <- CorpusNames
-      bench <- Seq("st", "rt")
-      (setting, _) <- ErrorSettings
-    } yield {
-      val model = trained(spark, corpusName).fineModel
-      val s = scoreModel(spark, model, bench, setting)
-      Console.err.println(s"[table6] $corpusName $bench/$setting -> ${fmtPair(s)}")
-      (corpusName, bench, setting) -> s
-    }
-    val scores = cells.toMap
-    val header = Seq("Training corpus") ++
-      (for (b <- Seq("st", "rt"); (s, _) <- ErrorSettings) yield s"$b $s")
-    val rows = CorpusNames.map { c =>
-      Seq(c) ++ (for (b <- Seq("st", "rt"); (s, _) <- ErrorSettings)
-        yield fmtPair(scores((c, b, s))))
-    }
-    Table6Result(scores, "Table 6: Fine-Select sensitivity to the training corpus\n" + table(header, rows))
+    val rows = CorpusNames.map(c => modelRow(spark, c, c)(trained(spark, c).fineModel))
+    val (scores, rendered) = scoreGrid(
+      "Table 6: Fine-Select sensitivity to the training corpus",
+      Seq("Training corpus") ++ GridHeader, Grid, rows)
+    Table6Result(scores, rendered)
   }
 
   // ---------------------------------------------------------------- Table 7
@@ -135,28 +140,18 @@ object Tables {
   def runTable7(spark: SparkSession): Table7Result = {
     val m = trained(spark, "relational-tables")
     val variants: Seq[(String, SdcModel)] = Seq(
-      "Fine-Select" -> m.fineModel) ++
+      FineSelect.name -> m.fineModel) ++
       Seq(DomainEval.Cta -> "no-CTA", DomainEval.Embedding -> "no-embedding",
         DomainEval.Pattern -> "no-pattern", DomainEval.Function -> "no-function")
         .map { case (family, label) =>
           val sel = m.selectSubset(a => m.registry.byId(a.sdc.evalId).family != family)
           label -> new SdcModel(sel.selected.map(_.sdc), m.registry)
         }
-    val scores = (for {
-      (label, model) <- variants
-      bench <- Seq("st", "rt")
-    } yield {
-      val s = scoreModel(spark, model, bench, "real")
-      Console.err.println(s"[table7] $label $bench -> ${fmtPair(s)}")
-      (label, bench) -> s
-    }).toMap
-    val rendered = table(
-      Seq("Variant", "ST-Bench", "RT-Bench"),
-      variants.map { case (label, _) =>
-        Seq(label, fmtPair(scores((label, "st"))), fmtPair(scores((label, "rt"))))
-      })
-    Table7Result(scores,
-      "Table 7: ablation — contribution of each column-type detection family (Fine-Select)\n" + rendered)
+    val (scores, rendered) = scoreGrid(
+      "Table 7: ablation — contribution of each column-type detection family (Fine-Select)",
+      Seq("Variant", "ST-Bench", "RT-Bench"), RealGrid,
+      variants.map { case (label, model) => modelRow(spark, label, label)(model) })
+    Table7Result(scores.map { case ((label, b, _), p) => (label, b) -> p }, rendered)
   }
 
   // ---------------------------------------------------------------- Table 8
@@ -171,27 +166,18 @@ object Tables {
     val m = trained(spark, "relational-tables")
     val base = m.config.assessConfig
     val variants: Seq[(String, SdcModel)] = Seq(
-      "All-Constraints" -> m.allConstraintsModel,
+      AllConstraints.name -> m.allConstraintsModel,
       "no Wilson score interval" -> new SdcModel(
         m.reassess(base.copy(useWilson = false)).map(_.sdc), m.registry),
       "no Cohen's h" -> new SdcModel(
         m.reassess(base.copy(useCohensH = false)).map(_.sdc), m.registry),
     )
-    val scores = (for {
-      (label, model) <- variants
-      bench <- Seq("st", "rt")
-    } yield {
-      val s = scoreModel(spark, model, bench, "real")
-      Console.err.println(s"[table8] $label (${model.size} rules) $bench -> ${fmtPair(s)}")
-      (label, bench) -> s
-    }).toMap
-    val ruleCounts = variants.map { case (l, model) => l -> model.size }.toMap
-    val rendered = table(
-      Seq("Variant", "# rules", "ST-Bench", "RT-Bench"),
-      variants.map { case (l, _) =>
-        Seq(l, ruleCounts(l).toString, fmtPair(scores((l, "st"))), fmtPair(scores((l, "rt")))) })
-    Table8Result(scores, ruleCounts,
-      "Table 8: ablation — Wilson score interval and Cohen's h (All-Constraints)\n" + rendered)
+    val (scores, rendered) = scoreGrid(
+      "Table 8: ablation — Wilson score interval and Cohen's h (All-Constraints)",
+      Seq("Variant", "# rules", "ST-Bench", "RT-Bench"), RealGrid,
+      variants.map { case (l, model) => modelRow(spark, l, l, model.size.toString)(model) })
+    Table8Result(scores.map { case ((l, b, _), p) => (l, b) -> p },
+      variants.map { case (l, model) => l -> model.size }.toMap, rendered)
   }
 
   // ------------------------------------------------------- Table 9 (+10/11)
@@ -287,29 +273,11 @@ object Tables {
   )
 
   def runTable12(spark: SparkSession): Table12Result = {
-    val variants = Seq("All-Constraints", "Fine-Select", "Coarse-Select")
-    val corpora = Seq("relational-tables", "spreadsheet-tables")
-    val cells = for {
-      c <- corpora
-      v <- variants
-      b <- Seq("st", "rt")
-      (s, _) <- ErrorSettings
-    } yield {
-      val m = trained(spark, c)
-      val model = v match {
-        case "All-Constraints" => m.allConstraintsModel
-        case "Fine-Select"     => m.fineModel
-        case "Coarse-Select"   => m.coarseModel
-      }
-      (c, v, b, s) -> scoreModel(spark, model, b, s)
-    }
-    val scores = cells.toMap
-    val header = Seq("Trained on", "Method") ++
-      (for (b <- Seq("st", "rt"); (s, _) <- ErrorSettings) yield s"$b $s")
-    val rows = for (c <- corpora; v <- variants) yield
-      Seq(c, v) ++ (for (b <- Seq("st", "rt"); (s, _) <- ErrorSettings)
-        yield fmtPair(scores((c, v, b, s))))
-    Table12Result(scores,
-      "Table 12 (Appendix A): algorithm performance by training corpus\n" + table(header, rows))
+    val rows = for (c <- Seq("relational-tables", "spreadsheet-tables"); v <- Variants)
+      yield modelRow(spark, (c, v.name), c, v.name)(v.model(trained(spark, c)))
+    val (scores, rendered) = scoreGrid(
+      "Table 12 (Appendix A): algorithm performance by training corpus",
+      Seq("Trained on", "Method") ++ GridHeader, Grid, rows)
+    Table12Result(scores.map { case (((c, v), b, s), p) => (c, v, b, s) -> p }, rendered)
   }
 }

@@ -190,13 +190,4 @@ object OutlierDetectors {
       }
     }
   }
-
-  def lof: ErrorDetector = new Lof()
-  def dbod: ErrorDetector = new Dbod
-  def svdd: ErrorDetector = new Svdd
-  def iforest: ErrorDetector = new IForest()
-  def rkde: ErrorDetector = new Rkde
-  def ppca: ErrorDetector = new Ppca()
-
-  def all: Seq[ErrorDetector] = Seq(rkde, ppca, iforest, svdd, dbod, lof)
 }

@@ -3,6 +3,7 @@ package repro.baselines
 import repro.SparkSpec
 import repro.corpus.{CorpusGen, TableColumn}
 import repro.domains.Vocab
+import repro.experiments.Baselines
 
 class BaselinesSpec extends SparkSpec {
 
@@ -26,34 +27,34 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("Glove baseline flags the month typo top-ranked") {
-    val preds = ZScoreBaselines.glove.detect(monthCol)
+    val preds = Baselines("Glove").detect(monthCol)
     assert(preds.nonEmpty)
     assert(preds.maxBy(_._2)._1 == "febuary")
   }
 
   test("Glove baseline false-positives on uncommon names (Example 2)") {
-    val preds = ZScoreBaselines.glove.detect(nameCol)
+    val preds = Baselines("Glove").detect(nameCol)
     val flaggedUncommon = preds.map(_._1).toSet.intersect(Vocab.firstName.uncommon.take(3).toSet)
     assert(flaggedUncommon.nonEmpty, "expected OOV uncommon names to be flagged as FPs")
   }
 
   test("Regex baseline flags the unit-column error") {
-    val preds = ZScoreBaselines.regex.detect(unitCol)
+    val preds = Baselines("Regex").detect(unitCol)
     assert(preds.map(_._1) == Seq("0.05%"))
   }
 
   test("DataPrep baseline flags the invalid date") {
-    val preds = ZScoreBaselines.dataprep.detect(dateCol)
+    val preds = Baselines("DataPrep").detect(dateCol)
     assert(preds.map(_._1).contains("new facility"))
   }
 
   test("all 7 column-type baselines have unique names") {
-    val names = ZScoreBaselines.all.map(_.name)
-    assert(names.distinct.size == 7)
+    val names = Baselines.group("Column-type").map(_.name)
+    assert(names.size == 7 && names.distinct.size == 7)
   }
 
   test("GPT-sim detects placeholders and typos with high recall") {
-    val det = GptSim.fewShotWithCot
+    val det = Baselines("few-shot-with-COT")
     val predsM = det.detect(monthCol).map(_._1)
     val predsD = det.detect(dateCol).map(_._1)
     assert(predsM.contains("febuary"))
@@ -61,7 +62,7 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("GPT-sim confidence is coarse (at most 2 levels)") {
-    val det = GptSim.fewShotWithCot
+    val det = Baselines("few-shot-with-COT")
     val confs = (monthCol :: unitCol :: dateCol :: Nil).flatMap(det.detect).map(_._2).distinct
     assert(confs.toSet.subsetOf(Set(0.6, 0.9)))
   }
@@ -70,8 +71,8 @@ class BaselinesSpec extends SparkSpec {
     // many columns of unknown code-words: count hallucinated detections
     val codeCols = (0 until 40).map(i => col(s"code$i", (1 to 15).map(j => s"qz${i}_$j xx")))
     def fps(d: ErrorDetector) = codeCols.map(c => d.detect(c).size).sum
-    val best = fps(GptSim.fewShotWithCot)
-    val worst = fps(GptSim.zeroShotNoCot)
+    val best = fps(Baselines("few-shot-with-COT"))
+    val worst = fps(Baselines("zero-shot-no-COT"))
     assert(best < worst, s"few-shot-COT $best vs zero-shot $worst")
   }
 
@@ -83,17 +84,17 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("Katara maps KB-covered columns and flags non-KB values") {
-    val preds = Katara.default.detect(monthCol)
+    val preds = Baselines("Katara").detect(monthCol)
     assert(preds.map(_._1).contains("febuary"))
   }
 
   test("Katara produces FPs on valid-but-uncommon entities") {
-    val preds = Katara.default.detect(nameCol)
+    val preds = Baselines("Katara").detect(nameCol)
     assert(preds.map(_._1).toSet.intersect(Vocab.firstName.uncommon.take(3).toSet).nonEmpty)
   }
 
   test("Katara skips unmapped columns") {
-    assert(Katara.default.detect(unitCol).isEmpty)
+    assert(Baselines("Katara").detect(unitCol).isEmpty)
   }
 
   test("AutoDetect learns pattern incompatibility from a corpus") {
@@ -121,20 +122,20 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("Vendor-A only fires on strongly dominant patterns") {
-    val a = Vendors.vendorA
+    val a = Baselines("Vendor-A")
     assert(a.detect(unitCol).map(_._1) == Seq("0.05%"))
     val mixed = col("mixed", (1 to 6).map(j => s"$j oz") ++ (1 to 6).map(j => s"x$j"))
     assert(a.detect(mixed).isEmpty)
   }
 
   test("Vendor-B is a conservative spell-checker") {
-    val b = Vendors.vendorB
+    val b = Baselines("Vendor-B")
     assert(b.detect(monthCol).map(_._1).contains("febuary"))
     assert(b.detect(unitCol).isEmpty)
   }
 
   test("DetectorRunner distributes and matches local application") {
-    val det = ZScoreBaselines.regex
+    val det = Baselines("Regex")
     val cols = Seq(unitCol, dateCol, monthCol)
     val dist = DetectorRunner.run(spark, det, cols).toSet
     val local = cols.flatMap(c => det.detect(c).map { case (v, s) =>

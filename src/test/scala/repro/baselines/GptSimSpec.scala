@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.TableColumn
 import repro.domains.Vocab
+import repro.experiments.Baselines
 
 class GptSimSpec extends AnyFunSuite {
 
@@ -31,19 +32,20 @@ class GptSimSpec extends AnyFunSuite {
 
   test("semantic clash detection: a country inside a month column is flagged") {
     val c = col("m", Vocab.months :+ "germany")
-    val det = GptSim.fewShotWithCot
+    val det = Baselines("few-shot-with-COT")
     assert(det.detect(c).map(_._1).contains("germany"))
   }
 
   test("an in-topic entity is not (reliably) flagged") {
     val c = col("m", Vocab.months)
-    val det = GptSim.fewShotWithCot
+    val det = Baselines("few-shot-with-COT")
     // months themselves: at most stray hallucinations, never the whole column
     assert(det.detect(c).size <= 2)
   }
 
   test("all four prompt variants plus fine-tuned exist with distinct names") {
-    val names = (GptSim.all :+ GptSim.fineTuned).map(_.name)
-    assert(names.distinct.size == 5)
+    val gpt = Baselines.group("GPT")
+    assert(gpt.forall(_.isInstanceOf[GptSim]))
+    assert(gpt.map(_.name).distinct.size == 5)
   }
 }

@@ -4,25 +4,57 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class ExperimentsSpec extends AnyFunSuite {
 
+  private val table4Rows: Seq[(String, String)] =
+    Seq("All-Constraints", "Fine-Select", "Coarse-Select").map("Ours" -> _) ++
+      Seq("Sherlock", "Doduo", "Glove", "SentenceBERT", "Regex", "DataPrep", "Validators")
+        .map("Column-type" -> _) ++
+      Seq("AutoDetect", "Katara").map("Data-cleaning" -> _) ++
+      Seq("SVDD", "DBOD", "LOF", "RKDE", "PPCA", "IForest").map("Outlier" -> _) ++
+      Seq("few-shot-with-COT", "few-shot-no-COT", "zero-shot-with-COT", "zero-shot-no-COT",
+        "GPT-finetuned").map("GPT" -> _) ++
+      Seq("Vendor-A", "Vendor-B").map("Commercial" -> _)
+
+  test("Table 4 lists its methods in the paper's row order, each name once") {
+    val rows = Experiments.methods.map(m => (m.group, m.name))
+    assert(rows == table4Rows)
+    assert(rows.map(_._2).distinct.size == rows.size)
+    // as in the paper, GPT-finetuned is scored on real errors only
+    assert(Experiments.methods.filter(_.realOnly).map(_.name) == Seq("GPT-finetuned"))
+  }
+
   test("method roster covers the paper's Table 4 groups") {
-    val groups = Experiments.methodRoster.map(_._1).distinct
+    val groups = Experiments.methods.map(_.group).distinct
     assert(groups == Seq("Ours", "Column-type", "Data-cleaning", "Outlier", "GPT", "Commercial"))
   }
 
   test("method roster has the Auto-Test family plus 20+ baselines") {
-    val (ours, baselines) = Experiments.methodRoster.partition(_._1 == "Ours")
-    assert(ours.map(_._2) == Seq("All-Constraints", "Fine-Select", "Coarse-Select"))
+    val (ours, baselines) = Experiments.methods.partition(_.group == "Ours")
+    assert(ours == Experiments.Variants)
+    assert(ours.map(_.name) == Seq("All-Constraints", "Fine-Select", "Coarse-Select"))
     assert(baselines.size >= 20, s"only ${baselines.size} baselines")
   }
 
   test("every non-trained roster method resolves to a detector") {
-    val trainedMethods = Set("All-Constraints", "Fine-Select", "Coarse-Select", "AutoDetect")
-    Experiments.methodRoster.collect { case (_, m) if !trainedMethods.contains(m) => m }
-      .foreach { m => assert(Experiments.detectorByName(m).name.nonEmpty, m) }
+    Experiments.methods.collect { case b: Experiments.Baseline if b.name != "AutoDetect" => b }
+      .foreach(b => assert(b.detector.name == b.name, b.name))
   }
 
-  test("detectorByName rejects unknown methods") {
-    intercept[IllegalArgumentException](Experiments.detectorByName("nope"))
+  test("looking up a method twice gives the same detector instance") {
+    Seq("Sherlock", "Katara", "LOF", "GPT-finetuned", "Vendor-B")
+      .foreach(n => assert(Baselines(n) eq Baselines(n), n))
+    assert(Experiments.method("Fine-Select") eq Experiments.FineSelect)
+  }
+
+  test("method() rejects an unknown name, naming it") {
+    val e = intercept[IllegalArgumentException](Experiments.method("nope"))
+    assert(e.getMessage.contains("'nope'"), e.getMessage)
+  }
+
+  test("benchSetting rejects an unknown bench or setting, naming the value") {
+    Seq(("xt", "real", "'xt'"), ("st", "+7%", "'+7%'")).foreach { case (bench, setting, named) =>
+      val e = intercept[IllegalArgumentException](Experiments.benchSetting(bench, setting))
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
   }
 
   test("error settings are the paper's real/+5/+10/+20 grid") {

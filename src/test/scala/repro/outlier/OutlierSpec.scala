@@ -2,6 +2,7 @@ package repro.outlier
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.TableColumn
+import repro.experiments.Baselines
 
 class OutlierSpec extends AnyFunSuite {
 
@@ -30,17 +31,17 @@ class OutlierSpec extends AnyFunSuite {
   }
 
   test("every detector has a distinct name") {
-    val names = OutlierDetectors.all.map(_.name)
-    assert(names == Seq("RKDE", "PPCA", "IForest", "SVDD", "DBOD", "LOF"))
+    val names = Baselines.group("Outlier").map(_.name)
+    assert(names == Seq("SVDD", "DBOD", "LOF", "RKDE", "PPCA", "IForest"))
   }
 
   test("detectors skip very small columns") {
     val tiny = col("tiny", Seq("a", "b", "c"))
-    OutlierDetectors.all.foreach(d => assert(d.detect(tiny).isEmpty, d.name))
+    Baselines.group("Outlier").foreach(d => assert(d.detect(tiny).isEmpty, d.name))
   }
 
   test("every detector ranks the syntactic outlier above the median") {
-    OutlierDetectors.all.foreach { d =>
+    Baselines.group("Outlier").foreach { d =>
       val preds = d.detect(idCol)
       assert(preds.map(_._1).contains("completely different string !!!"),
         s"${d.name} missed the outlier: ${preds.take(5)}")
@@ -48,14 +49,14 @@ class OutlierSpec extends AnyFunSuite {
   }
 
   test("every detector gives the outlier the top score") {
-    OutlierDetectors.all.foreach { d =>
+    Baselines.group("Outlier").foreach { d =>
       val preds = d.detect(idCol)
       assert(preds.maxBy(_._2)._1 == "completely different string !!!", d.name)
     }
   }
 
   test("detectors are deterministic (seeded by column id)") {
-    OutlierDetectors.all.foreach { d =>
+    Baselines.group("Outlier").foreach { d =>
       assert(d.detect(idCol) == d.detect(idCol), d.name)
     }
   }
@@ -64,7 +65,7 @@ class OutlierSpec extends AnyFunSuite {
     // A gene-style column: mixed but all-valid syntax. Local outlier methods
     // flag minority-syntax values even though nothing is an error.
     val geneCol = col("genes", (0 until 30).map(i => repro.domains.Vocab.genGene(i.toLong)))
-    val flagged = OutlierDetectors.all.map(d => d.detect(geneCol).size)
+    val flagged = Baselines.group("Outlier").map(d => d.detect(geneCol).size)
     assert(flagged.exists(_ > 0), "expected local methods to over-flag mixed-syntax valid columns")
   }
 
@@ -75,21 +76,21 @@ class OutlierSpec extends AnyFunSuite {
   }
 
   test("IForest score is in (0, 1]") {
-    OutlierDetectors.iforest.detect(idCol).foreach { case (_, s) =>
+    Baselines("IForest").detect(idCol).foreach { case (_, s) =>
       assert(s > 0.0 && s <= 1.0)
     }
   }
 
   test("PPCA reconstruction error is non-negative") {
-    OutlierDetectors.ppca.detect(idCol).foreach { case (_, s) => assert(s >= 0.0) }
+    Baselines("PPCA").detect(idCol).foreach { case (_, s) => assert(s >= 0.0) }
   }
 
   test("SVDD distance from robust centre is non-negative") {
-    OutlierDetectors.svdd.detect(idCol).foreach { case (_, s) => assert(s >= 0.0) }
+    Baselines("SVDD").detect(idCol).foreach { case (_, s) => assert(s >= 0.0) }
   }
 
   test("DBOD scores are fractions in [0, 1]") {
-    OutlierDetectors.dbod.detect(idCol).foreach { case (_, s) =>
+    Baselines("DBOD").detect(idCol).foreach { case (_, s) =>
       assert(s >= 0.0 && s <= 1.0)
     }
   }
