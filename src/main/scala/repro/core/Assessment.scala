@@ -71,13 +71,13 @@ object Assessment {
 
   /** Contingency counts of a corpus Dataset: a flat array with 4 slots per
     * global candidate index, [ct, cnt, nct, ncnt]. The columns are collected
-    * and their codes built in one Spark job ([[ValueCodes]]); `AutoTest.train`
+    * and their codes built on the driver ([[ValueCodes]]); `AutoTest.train`
     * shares one code table between [[count]] and the C_syn detections instead.
     */
   def contingency(spark: SparkSession, corpus: Dataset[TableColumn],
                   plans: IndexedSeq[EvalPlan]): Array[Long] = {
     val columns = corpus.collect().toIndexedSeq
-    count(columns, ValueCodes(spark, columns.iterator.flatMap(_.values), plans), plans)
+    count(columns, ValueCodes(columns.iterator.flatMap(_.values), plans), plans)
   }
 
   /** Contingency counts of `corpus`, every value of which has a code. The

@@ -37,7 +37,7 @@ object AutoTest {
     *
     * The raw contingency counts and full candidate plans are retained so the
     * sensitivity/ablation experiments (Tables 5, 7, 8) can re-assess and
-    * re-select without re-running the Spark passes.
+    * re-select without re-running the distance passes.
     */
   final case class TrainedModel(
       registry: EvalRegistry,
@@ -55,9 +55,10 @@ object AutoTest {
       contingencyCounts: Array[Long],
       totalCols: Long,
   ) {
-    def allConstraintsModel: SdcModel = new SdcModel(assessed.map(_.sdc), registry)
-    def coarseModel: SdcModel = new SdcModel(coarse.selected.map(_.sdc), registry)
-    def fineModel: SdcModel = new SdcModel(fine.selected.map(_.sdc), registry)
+    /** Each model is laid out once, on first use. */
+    lazy val allConstraintsModel: SdcModel = new SdcModel(assessed.map(_.sdc), registry)
+    lazy val coarseModel: SdcModel = new SdcModel(coarse.selected.map(_.sdc), registry)
+    lazy val fineModel: SdcModel = new SdcModel(fine.selected.map(_.sdc), registry)
 
     /** Re-run selection with different budgets without re-assessing. */
     def reselect(bSize: Int = config.bSize, bFpr: Double = config.bFpr,
@@ -110,13 +111,14 @@ object AutoTest {
     // ---- candidate generation + statistical assessment -------------------
     // One code per (evaluator, distinct corpus value), shared by the
     // contingency pass and the C_syn detections: every C_syn value is a
-    // corpus value. The codes job is the only Spark job of training.
+    // corpus value. Training runs no Spark job: `spark` is kept for the
+    // callers' signature.
     val ((assessed0, plans, registry, codes, counts), tCand) = timed {
       val centroids = sampleCentroids(corpus, cfg.nCentroids, cfg.seed)
       val patterns = Patterns.mine(ColumnStore.rows(corpus), topK = cfg.nPatterns)
       val registry = cfg.dropFamilies.foldLeft(EvalRegistry.default(centroids, patterns))(_ dropFamily _)
       val plans = CandidateGen.enumerate(registry)
-      val codes = ValueCodes(spark, corpus.iterator.flatMap(_.values), plans)
+      val codes = ValueCodes(corpus.iterator.flatMap(_.values), plans)
       val counts = Assessment.count(corpus, codes, plans)
       val assessed = Assessment.assess(plans, counts, corpus.size.toLong, cfg.assessConfig)
       (assessed, plans, registry, codes, counts)

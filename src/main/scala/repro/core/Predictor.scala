@@ -35,7 +35,7 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
   plans.foreach(p => ValueCodes.requireByteCodes(p.eval, p.thresholds.length))
 
   /** Built on the first single-column call: batch prediction codes its
-    * values with the bank of its codes job instead.
+    * values with the bank of its [[ValueCodes]] pass instead.
     */
   private lazy val bank = new EvalBank(plans.map(_.eval))
 
@@ -121,18 +121,14 @@ object SdcModel {
 object Predictor {
 
   /** Batch prediction over many columns. The distinct values of all columns
-    * get their codes at the model's edges in one Spark job ([[ValueCodes]]);
-    * the columns are then decided on the driver, in parallel, by the kernel
-    * of [[SdcModel.predictColumn]]. The predictions come in column order,
-    * each column's in the order `predictColumn` returns them.
+    * get their codes at the model's edges in one pass ([[ValueCodes]]); the
+    * columns are then decided in parallel by the kernel of
+    * [[SdcModel.predictColumn]]. The predictions come in column order, each
+    * column's in the order `predictColumn` returns them. No Spark job runs:
+    * `spark` is kept for the callers' signature.
     */
-  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
-    predict(spark, model, cols, nSlices = 0)
-
-  /** [[predict]] with the codes job over `nSlices` partitions (0: default). */
-  private[core] def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn],
-                            nSlices: Int): IndexedSeq[Prediction] = {
-    val codes = ValueCodes(spark, cols.iterator.flatMap(_.values), model.plans, nSlices)
+  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
+    val codes = ValueCodes(cols.iterator.flatMap(_.values), model.plans)
     val rows = model.plans.map(p => codes.row(p.eval))
     val columns = cols.toIndexedSeq
     val byCol = new Array[Iterable[Prediction]](columns.size)

@@ -47,12 +47,13 @@ object SynCorpus {
   }
 
   /** D(r): (synId, candIdx) detection pairs, in C_syn order. The values of
-    * C_syn get their codes in one Spark job ([[ValueCodes]]); `AutoTest.train`
-    * reuses the corpus' code table through [[detect]] instead.
+    * C_syn get their codes on the driver ([[ValueCodes]]); `AutoTest.train`
+    * reuses the corpus' code table through [[detect]] instead. No Spark job
+    * runs: `spark` is kept for the callers' signature.
     */
   def detections(spark: SparkSession, syn: Seq[SynColumn],
                  plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] =
-    detect(syn, ValueCodes(spark, syn.iterator.flatMap(sc => sc.baseValues :+ sc.errValue), plans), plans)
+    detect(syn, ValueCodes(syn.iterator.flatMap(sc => sc.baseValues :+ sc.errValue), plans), plans)
 
   /** D(r) from codes, every C_syn value having one. Per synthetic column and
     * evaluator the base values are profiled ([[ColumnProfile.fromCodes]]) and

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import java.util.stream.IntStream
+
 import repro.core.CandidateGen.EvalPlan
 import repro.dists.{DomainEval, EvalBank}
 
@@ -39,10 +40,10 @@ final class ValueCodes private (index: java.util.HashMap[String, Integer],
 
 object ValueCodes {
 
-  /** Values per [[EvalBank.distances]] call, which bounds a task's distance
+  /** Values per [[EvalBank.distances]] call, which bounds a chunk's distance
     * matrix at evaluators × `Chunk` doubles.
     */
-  private val Chunk = 512
+  private[core] val Chunk = 512
 
   /** The most edges one evaluator's codes can count: a code runs from 0 to
     * the number of edges and is stored as a signed byte.
@@ -55,71 +56,33 @@ object ValueCodes {
       s"evaluator ${eval.id} has $nEdges edges; edge-bucket codes hold at most $MaxEdges")
 
   /** Codes of every plan's evaluator at the plan's sorted, distinct
-    * thresholds, over the distinct `values`, computed in one Spark job with
-    * one [[EvalBank]] per executor.
+    * thresholds, over the distinct `values`. One [[EvalBank]], which is safe
+    * to call from several threads at once, codes them in `Chunk`-value chunks
+    * on a parallel stream; each chunk writes only its own range of every
+    * row, so the codes do not depend on scheduling.
     */
-  def apply(spark: SparkSession, values: IterableOnce[String], plans: IndexedSeq[EvalPlan]): ValueCodes =
-    apply(spark, values, plans, nSlices = 0)
-
-  /** [[apply]] over `nSlices` partitions, or by default one per `Chunk`
-    * values and at most four per core; the codes do not depend on it.
-    */
-  private[core] def apply(spark: SparkSession, values: IterableOnce[String], plans: IndexedSeq[EvalPlan],
-                          nSlices: Int): ValueCodes = {
+  def apply(values: IterableOnce[String], plans: IndexedSeq[EvalPlan]): ValueCodes = {
     plans.foreach(p => requireByteCodes(p.eval, p.thresholds.length))
     val index = new java.util.HashMap[String, Integer]()
     val distinct = Array.newBuilder[String]
     values.iterator.foreach(v => if (index.putIfAbsent(v, index.size) == null) distinct += v)
     val vs = distinct.result()
-    val slices =
-      if (nSlices > 0) nSlices
-      else math.max(1, math.min(4 * spark.sparkContext.defaultParallelism, vs.length / Chunk))
-    new ValueCodes(index, plans.map(_.eval.id).zip(codes(spark, vs, plans, slices)).toMap)
+    val rows = Array.fill(plans.size)(new Array[Byte](vs.length))
+    if (plans.nonEmpty && vs.nonEmpty) {
+      val bank = new EvalBank(plans.map(_.eval))
+      IntStream.range(0, (vs.length + Chunk - 1) / Chunk).parallel().forEach { c =>
+        val from = c * Chunk
+        val dists = bank.distances(java.util.Arrays.copyOfRange(vs, from, math.min(from + Chunk, vs.length)))
+        var k = 0
+        while (k < dists.length) { encode(dists(k), plans(k).thresholds, rows(k), from); k += 1 }
+      }
+    }
+    new ValueCodes(index, plans.map(_.eval.id).zip(rows).toMap)
   }
 
   /** Writes the code of each of `dists` at `edges` into `out` from `offset`. */
   private[core] def encode(dists: Array[Double], edges: Array[Double], out: Array[Byte], offset: Int): Unit = {
     var j = 0
     while (j < dists.length) { out(offset + j) = ColumnProfile.bucket(dists(j), edges).toByte; j += 1 }
-  }
-
-  /** The evaluators and edges a codes job broadcasts. The tasks of one
-    * executor read one deserialized copy, and so share one [[EvalBank]],
-    * which is safe to call from several tasks at once.
-    */
-  private final class Coder(val evals: IndexedSeq[DomainEval], val edges: IndexedSeq[Array[Double]])
-      extends Serializable {
-    @transient lazy val bank: EvalBank = new EvalBank(evals)
-  }
-
-  /** codes(k)(j) = bucket of plans(k)'s distance to values(j) at its thresholds. */
-  private def codes(spark: SparkSession, values: Array[String], plans: IndexedSeq[EvalPlan],
-                    nSlices: Int): Array[Array[Byte]] = {
-    val rows = Array.fill(plans.size)(new Array[Byte](values.length))
-    if (plans.nonEmpty && values.nonEmpty) {
-      val bc = spark.sparkContext.broadcast(new Coder(plans.map(_.eval), plans.map(_.thresholds)))
-      val blocks = spark.sparkContext.parallelize(values.toSeq, nSlices).mapPartitions { it =>
-        val coder = bc.value
-        val part = it.toArray
-        val block = Array.fill(coder.evals.size)(new Array[Byte](part.length))
-        var from = 0
-        while (from < part.length) {
-          val to = math.min(from + Chunk, part.length)
-          val dists = coder.bank.distances(java.util.Arrays.copyOfRange(part, from, to))
-          var k = 0
-          while (k < dists.length) { encode(dists(k), coder.edges(k), block(k), from); k += 1 }
-          from = to
-        }
-        Iterator.single((part.length, block))
-      }.collect()
-      bc.destroy()
-      var offset = 0
-      blocks.foreach { case (n, block) =>
-        var k = 0
-        while (k < rows.length) { System.arraycopy(block(k), 0, rows(k), offset, n); k += 1 }
-        offset += n
-      }
-    }
-    rows
   }
 }

@@ -68,7 +68,7 @@ object CtaClassifier {
   private def features(raw: String): Features = {
     val v = DomainEval.normalize(raw)
     if (v.isEmpty) new Features(v, 0L, Array.empty)
-    else new Features(v, Det.hashString(v), trigrams(v).toArray)
+    else new Features(v, Det.hashString(v), gramArray(v))
   }
 
   /** Classifiers scored together: each value's [[Features]] are computed
@@ -116,9 +116,17 @@ object CtaClassifier {
   }
 
   /** Character trigrams over "^value$" (boundary-marked). */
-  def trigrams(v: String): Seq[String] = {
+  def trigrams(v: String): Seq[String] = scala.collection.immutable.ArraySeq.unsafeWrapArray(gramArray(v))
+
+  private def gramArray(v: String): Array[String] = {
     val s = "^" + v + "$"
-    if (s.length < 3) Seq(s) else (0 to s.length - 3).map(i => s.substring(i, i + 3))
+    if (s.length < 3) Array(s)
+    else {
+      val out = new Array[String](s.length - 2)
+      var i = 0
+      while (i < out.length) { out(i) = s.substring(i, i + 3); i += 1 }
+      out
+    }
   }
 
   /** Build a classifier for `domain`, trained on `trainFrac` of its common

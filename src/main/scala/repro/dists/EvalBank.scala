@@ -10,7 +10,9 @@ import repro.linalg.LinAlg
   * embedded once per model and then compared against every centroid of that
   * model. CTA classifiers are scored together by one [[CtaClassifier.Bank]]:
   * each value is normalized, hashed and split into trigrams once for all of
-  * them. Every other evaluator calls [[DomainEval.distance]] per value.
+  * them. Each value is generalized once for every [[PatternEval]]
+  * ([[Patterns.generalize]]) and compared with each one's pattern. Every
+  * other evaluator calls [[DomainEval.distance]] per value.
   */
 final class EvalBank(evals: IndexedSeq[DomainEval]) {
 
@@ -31,9 +33,15 @@ final class EvalBank(evals: IndexedSeq[DomainEval]) {
     (c.map(_._1).toArray, new CtaClassifier.Bank(c.map(_._2)))
   }
 
+  /** The rows of the pattern evaluators, and their patterns. */
+  private val (patRows, patterns): (Array[Int], Array[String]) = {
+    val p = evals.zipWithIndex.collect { case (e: PatternEval, i) => (i, e.pattern) }
+    (p.map(_._1).toArray, p.map(_._2).toArray)
+  }
+
   private val perValue: Array[Int] = evals.indices.filter(i => evals(i) match {
-    case _: EmbeddingCentroidEval | _: CtaClassifier => false
-    case _                                           => true
+    case _: EmbeddingCentroidEval | _: CtaClassifier | _: PatternEval => false
+    case _                                                            => true
   }).toArray
 
   /** evaluators × values distance matrix. */
@@ -53,6 +61,15 @@ final class EvalBank(evals: IndexedSeq[DomainEval]) {
         var j = 0
         while (j < n) { row(j) = 1.0 - s(j); j += 1 }
         k += 1
+      }
+    }
+    if (patRows.nonEmpty) {
+      var j = 0
+      while (j < n) {
+        val g = Patterns.generalize(values(j))
+        var k = 0
+        while (k < patRows.length) { out(patRows(k))(j) = if (g == patterns(k)) 0.0 else 1.0; k += 1 }
+        j += 1
       }
     }
     byModel.foreach { case (emb, rows, centroids) =>

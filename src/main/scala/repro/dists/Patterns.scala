@@ -92,8 +92,10 @@ object Patterns {
     if (s.exists(Character.isSurrogate)) UTF8String.fromString(s).toString else s
 }
 
-/** 0/1 distance to a fixed pattern (Eq 3). */
-final class PatternEval(pattern: String) extends DomainEval {
+/** 0/1 distance to a fixed pattern (Eq 3). [[EvalBank]] reads `pattern` to
+  * generalize each value once for all patterns.
+  */
+final class PatternEval(private[dists] val pattern: String) extends DomainEval {
   override val id: String = s"pat:$pattern"
   override def family: String = DomainEval.Pattern
   override def distance(v: String): Double =

@@ -56,7 +56,10 @@ final class SynthEmbedding private (
 
   private def oovVector(t: String): Array[Double] = {
     val s = Det.combine(Det.hashString(name), Det.hashString("oov"), Det.hashString(t))
-    Array.tabulate(dim)(i => oovSigma * Det.gaussian(Det.combine(s, i.toLong)))
+    val out = new Array[Double](dim)
+    var i = 0
+    while (i < dim) { out(i) = oovSigma * Det.gaussian(Det.combine(s, i.toLong)); i += 1 }
+    out
   }
 }
 

@@ -29,7 +29,12 @@ object LinAlg {
     Array.tabulate(a.length)(i => a(i) + b(i))
   }
 
-  def scale(a: Vec, s: Double): Vec = a.map(_ * s)
+  def scale(a: Vec, s: Double): Vec = {
+    val out = new Array[Double](a.length)
+    var i = 0
+    while (i < a.length) { out(i) = a(i) * s; i += 1 }
+    out
+  }
 
   /** ‖a − b‖₂ without allocating: Σ(aᵢ − bᵢ)² left to right, then sqrt,
     * which is bit-identical to `norm2(sub(a, b))`.

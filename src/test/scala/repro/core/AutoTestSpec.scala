@@ -51,8 +51,14 @@ class AutoTestSpec extends SparkSpec {
     assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 1"))
   }
 
-  test("train runs exactly one Spark job") {
-    assert(SparkJobs.count(spark)(AutoTest.train(spark, corpus.take(200), cfg.copy(nSyn = 100))) == 1)
+  test("train runs no Spark job") {
+    assert(SparkJobs.count(spark)(AutoTest.train(spark, corpus.take(200), cfg.copy(nSyn = 100))) == 0)
+  }
+
+  test("each trained model's SDC models are built once") {
+    assert(model.allConstraintsModel eq model.allConstraintsModel)
+    assert(model.coarseModel eq model.coarseModel)
+    assert(model.fineModel eq model.fineModel)
   }
 
   test("shared-code contingency and detections equal the standalone passes") {

@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.stream.IntStream
 
-import org.apache.spark.sql.SparkSession
 import repro.core.CandidateGen.EvalPlan
 import repro.corpus.TableColumn
 import repro.dists.{DomainEval, EvalBank, EvalRegistry}
@@ -35,7 +34,7 @@ final class GroupedSdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
   private[core] val edges: IndexedSeq[Array[Double]] = byEval.map(_.edges)
 
   /** Built on the first single-column call: batch prediction codes its
-    * values with the bank of its codes job instead.
+    * values with the bank of its [[ValueCodes]] pass instead.
     */
   private lazy val bank = new EvalBank(evals)
 
@@ -118,13 +117,12 @@ object GroupedSdcModel {
   private final case class Rules(eval: DomainEval, edges: Array[Double], groups: IndexedSeq[Group])
 
   /** Batch prediction with this model's kernel, as `Predictor.predict`: one
-    * codes job at the model's evaluators and edges (passed as plans without
-    * candidates), then the columns decided on the driver, in column order.
+    * [[ValueCodes]] pass at the model's evaluators and edges (passed as plans
+    * without candidates), then the columns decided in column order.
     */
-  def predict(spark: SparkSession, model: GroupedSdcModel, cols: Seq[TableColumn],
-              nSlices: Int): IndexedSeq[Prediction] = {
+  def predict(model: GroupedSdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
     val plans = model.evals.indices.map(k => EvalPlan(model.evals(k), model.edges(k), IndexedSeq.empty))
-    val codes = ValueCodes(spark, cols.iterator.flatMap(_.values), plans, nSlices)
+    val codes = ValueCodes(cols.iterator.flatMap(_.values), plans)
     val rows = model.evals.map(codes.row)
     val columns = cols.toIndexedSeq
     val byCol = new Array[Iterable[Prediction]](columns.size)

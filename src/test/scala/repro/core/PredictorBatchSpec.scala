@@ -73,14 +73,14 @@ class PredictorBatchSpec extends SparkSpec {
   private def single(model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
     cols.flatMap(c => model.predictColumn(c.values).map { case (v, conf) => Prediction(c.colId, v, conf) }).toIndexedSeq
 
-  test("batch predict equals per-column predictColumn, in order, at 1, 3 and 16 code slices") {
+  test("batch predict equals per-column predictColumn, in column order") {
     var flagged = 0
     val prop = Prop.forAll(genModel, genColumns) { (sdcs, cols) =>
       val model = new SdcModel(sdcs, registry)
       val want = single(model, cols)
       flagged += want.size
       cols.forall(c => model.predictColumn(c.values) == PerValueReference.predictColumn(sdcs, registry, c.values)) &&
-        Seq(1, 3, 16).forall(n => Predictor.predict(spark, model, cols, n) == want)
+        Predictor.predict(spark, model, cols) == want
     }
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(5L)), prop)
     assert(result.passed, result.status)
@@ -96,10 +96,10 @@ class PredictorBatchSpec extends SparkSpec {
     assert(cols.forall(c => none.predictColumn(c.values).isEmpty))
   }
 
-  test("batch predict runs one Spark job per call") {
+  test("batch predict runs no Spark job") {
     val model = new SdcModel(IndexedSeq(Sdc(fixedEval.id, 0.25, 1.0, 0.5, 0.9),
       Sdc("fun:validate_date", 0.0, 0.5, 0.9, 0.95)), registry)
     val cols = (0 until 50).map(i => TableColumn(s"c$i", "d", Seq(s"$i/1/2020", "x", s"v$i"), Nil, 3))
-    assert(SparkJobs.count(spark)(Predictor.predict(spark, model, cols)) == 1)
+    assert(SparkJobs.count(spark)(Predictor.predict(spark, model, cols)) == 0)
   }
 }

@@ -89,7 +89,7 @@ class SdcModelEquivalenceSpec extends SparkSpec {
           explained.flagged.toSeq == want &&
           explained.covering == ref.coveringSdcs(c.values)
       } &&
-      Predictor.predict(spark, model, cols, 3) == GroupedSdcModel.predict(spark, ref, cols, 3)
+      Predictor.predict(spark, model, cols) == GroupedSdcModel.predict(ref, cols)
     }
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(12L)), prop)
     assert(result.passed, result.status)

@@ -8,7 +8,7 @@ import repro.corpus.TableColumn
 import repro.dists.{DomainEval, EvalRegistry}
 
 /** Counts its distance calls per (evaluator, value) in one JVM-wide map,
-  * which local-mode Spark tasks share with the test.
+  * which the coding threads share with the test.
   */
 object CountingEval {
   val calls = new ConcurrentHashMap[(String, String), AtomicInteger]()
@@ -60,7 +60,7 @@ class ValueCodesSpec extends SparkSpec {
   test("contingency and detections equal the per-value reference on nulls, case, whitespace and unicode") {
     val want = ref.contingency(corpus, plans).toSeq
     assert(Assessment.contingency(spark, corpus.toDS(), plans).toSeq == want)
-    val codes = ValueCodes(spark, corpus.iterator.flatMap(_.values), plans)
+    val codes = ValueCodes(corpus.iterator.flatMap(_.values), plans)
     assert(Assessment.count(corpus, codes, plans).toSeq == want)
 
     val syn = synOver(corpus)
@@ -73,22 +73,28 @@ class ValueCodesSpec extends SparkSpec {
   test("the dictionary keys raw strings, null included, in first-appearance order") {
     val values = corpus.flatMap(_.values)
     val distinct = values.distinct
-    val codes = ValueCodes(spark, values, plans)
+    val codes = ValueCodes(values, plans)
     assert(codes.ids(distinct).toSeq == distinct.indices)
     assert(plans.forall(p => codes.row(p.eval).length == distinct.size))
     assert(Seq(null, "", "January", "january", " january ").map(codes.id).distinct.size == 5)
     assertThrows[NoSuchElementException](codes.id("not a corpus value"))
   }
 
-  test("codes are identical at 1, 3 and 16 slices") {
-    val values = corpus.flatMap(_.values)
-    val bySlices = Seq(1, 3, 16).map { n =>
-      val codes = ValueCodes(spark, values, plans, nSlices = n)
-      plans.map(p => codes.row(p.eval).toSeq)
+  test("codes over 3+ chunks, the last partial, equal each bucketed distance") {
+    // Corpus values, then made-up values of every family's kind, repeated.
+    val made = (0 until 1200).map(i => Seq(s"$i oz", s"item$i", s"$i/${i % 12 + 1}/2020", s"word$i x")(i % 4))
+    val values = corpus.flatMap(_.values) ++ made ++ made.take(300)
+    val distinct = values.distinct
+    assert(distinct.size > 2 * ValueCodes.Chunk && distinct.size % ValueCodes.Chunk != 0, distinct.size)
+    val codes = ValueCodes(values, plans)
+    plans.foreach { p =>
+      val row = codes.row(p.eval)
+      distinct.foreach { v =>
+        assert(row(codes.id(v)) == ColumnProfile.bucket(p.eval.distance(v), p.thresholds), s"${p.eval.id} on '$v'")
+      }
     }
-    assert(bySlices.distinct.size == 1)
-    val default = ValueCodes(spark, values, plans)
-    assert(plans.map(p => default.row(p.eval).toSeq) == bySlices.head)
+    val again = ValueCodes(values, plans)
+    assert(plans.forall(p => again.row(p.eval).sameElements(codes.row(p.eval))))
   }
 
   test("the codes job evaluates each distinct value once per evaluator") {
@@ -96,7 +102,7 @@ class ValueCodesSpec extends SparkSpec {
     val countPlans = CandidateGen.enumerate(new EvalRegistry(evals))
     val values = corpus.flatMap(_.values)
     CountingEval.calls.clear()
-    val codes = ValueCodes(spark, values, countPlans, nSlices = 3)
+    val codes = ValueCodes(values, countPlans)
     val distinct = values.distinct
     assert(CountingEval.calls.size == evals.size * distinct.size)
     for (e <- evals; v <- distinct) assert(CountingEval.calls.get((e.id, v)).get == 1, s"${e.id} on '$v'")
@@ -109,7 +115,7 @@ class ValueCodesSpec extends SparkSpec {
   }
 
   test("no values make empty codes, and an empty column counts as ncnt") {
-    val none = ValueCodes(spark, Iterator.empty, plans)
+    val none = ValueCodes(Iterator.empty, plans)
     assert(plans.forall(p => none.row(p.eval).isEmpty))
     assert(Assessment.count(Seq(TableColumn("e", "e", Nil, Nil, 0)), none, plans).count(_ == 1L) ==
       CandidateGen.totalCandidates(plans))
@@ -118,10 +124,10 @@ class ValueCodesSpec extends SparkSpec {
   test("more edges than a byte code can count are rejected, naming the evaluator") {
     val eval = new CountingEval("wide")
     val wide = CandidateGen.EvalPlan(eval, Array.tabulate(ValueCodes.MaxEdges + 1)(_.toDouble), IndexedSeq.empty)
-    val e = intercept[IllegalArgumentException](ValueCodes(spark, Seq("a", "b"), IndexedSeq(wide)))
+    val e = intercept[IllegalArgumentException](ValueCodes(Seq("a", "b"), IndexedSeq(wide)))
     assert(e.getMessage.contains(eval.id) && e.getMessage.contains(s"${ValueCodes.MaxEdges + 1} edges"), e.getMessage)
     val widest = wide.copy(thresholds = wide.thresholds.init)
-    assert(ValueCodes(spark, Seq("a", "b"), IndexedSeq(widest)).row(widest.eval).length == 2)
+    assert(ValueCodes(Seq("a", "b"), IndexedSeq(widest)).row(widest.eval).length == 2)
   }
 
   test("a model whose evaluator needs more edges than a byte code can count is rejected at construction") {

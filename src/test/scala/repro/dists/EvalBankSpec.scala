@@ -17,7 +17,7 @@ class EvalBankSpec extends AnyFunSuite {
   private val sbert: IndexedSeq[DomainEval] = Seq("march", "phoenix", "blue", "omayra")
     .map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)).toIndexedSeq
   private val patterns: IndexedSeq[DomainEval] =
-    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+"))
+    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+"), new PatternEval("\\d+/\\d+/\\d+"))
   private val allEvals: IndexedSeq[DomainEval] = cta ++ glove ++ sbert ++ patterns ++ FunctionEval.allEvals
 
   // Vocabulary, machine-looking, null, empty, whitespace-only, mixed-case,
