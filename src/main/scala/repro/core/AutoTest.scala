@@ -76,10 +76,14 @@ object AutoTest {
       */
     def selectSubset(keep: AssessedCandidate => Boolean,
                      delta: Option[Double] = Some(config.delta)): Selection.SelectionResult = {
-      val kept = assessed.zipWithIndex.filter { case (a, _) => keep(a) }
-      val remap = kept.map(_._2).zipWithIndex.toMap // old idx -> new idx
-      val dets = detections.collect { case (s, c) if remap.contains(c) => (s, remap(c)) }
-      Selection.select(kept.map(_._1), dets, nSyn, config.selection(config.bSize, config.bFpr, delta))
+      val kept = IndexedSeq.newBuilder[AssessedCandidate]
+      val remap = new Array[Int](assessed.size) // old idx -> new idx, −1 = dropped
+      var n = 0
+      assessed.indices.foreach { i =>
+        if (keep(assessed(i))) { kept += assessed(i); remap(i) = n; n += 1 } else remap(i) = -1
+      }
+      val dets = detections.collect { case (s, c) if remap(c) >= 0 => (s, remap(c)) }
+      Selection.select(kept.result(), dets, nSyn, config.selection(config.bSize, config.bFpr, delta))
     }
   }
 

@@ -4,9 +4,10 @@ import repro.core.Assessment.AssessedCandidate
 import repro.lp.Simplex
 import repro.util.Det
 
-import scala.collection.immutable.{ArraySeq, HashMap}
+import scala.collection.immutable.HashMap
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import scala.util.hashing.MurmurHash3
 
 /** SDC selection by LP-relaxation + randomized rounding (paper Sec 5.3).
   *
@@ -44,24 +45,70 @@ object Selection {
       lpIterations: Int,
   )
 
+  /** A sorted, distinct id array keyed by its contents. Its hash is the
+    * `Set[Int]` hash of its ids, `MurmurHash3.unorderedHash(ids, setSeed)`
+    * (an `Int`'s `##` is itself), so an immutable `HashMap` keyed on it
+    * iterates in the order of one keyed on that set (DESIGN §5).
+    */
+  private[core] final class IdSet(val ids: Array[Int]) {
+    override val hashCode: Int = {
+      var a, b = 0
+      var c = 1
+      var i = 0
+      while (i < ids.length) { val h = ids(i); a += h; b ^= h; c *= h | 1; i += 1 }
+      MurmurHash3.finalizeHash(
+        MurmurHash3.mixLast(MurmurHash3.mix(MurmurHash3.mix(MurmurHash3.setSeed, a), b), c), ids.length)
+    }
+    override def equals(o: Any): Boolean = o match {
+      case k: IdSet => hashCode == k.hashCode && java.util.Arrays.equals(ids, k.ids)
+      case _ => false
+    }
+  }
+
+  /** Keeps, in place, those of the first `len` ids of `k` whose confidence
+    * is within `d` of their best (the first maximum under `Double`'s total
+    * order, as `max` picks it); returns how many it kept.
+    */
+  private def nearBest(k: Array[Int], len: Int, conf: Array[Double], d: Double): Int = {
+    var best = conf(k(0))
+    var i = 1
+    while (i < len) { if (java.lang.Double.compare(conf(k(i)), best) > 0) best = conf(k(i)); i += 1 }
+    val floor = best - d
+    var kept = 0
+    i = 0
+    while (i < len) { if (conf(k(i)) >= floor) { k(kept) = k(i); kept += 1 }; i += 1 }
+    kept
+  }
+
+  /** Indices of the distinct K_j sets `keys`, of weights `w`, in LP row
+    * order (DESIGN §5, group order rule): by (−w, min K), and among ties in
+    * the iteration order of an immutable `HashMap` keyed on the sets.
+    */
+  private[core] def groupOrder(keys: Array[IdSet], w: Array[Int]): Array[Int] = {
+    val byHash = HashMap.newBuilder[IdSet, Int]
+    keys.indices.foreach(g => byHash.addOne(keys(g), g))
+    byHash.result().valuesIterator.toArray
+      .sorted(Ordering.fromLessThan[Int]((a, b) => w(a) > w(b) || w(a) == w(b) && keys(a).ids(0) < keys(b).ids(0)))
+  }
+
   /** @param candidates  assessed candidates, indexed by position
     * @param detections  (synId, candidate-position) detection pairs, in any
     *                    order and possibly repeated
-    * @param nSyn        |C_syn|
+    * @param nSyn        |C_syn|; unread, kept because perfbench's
+    *                    `StagedTrain` passes it positionally (ROADMAP item 2)
     *
-    * The reduction runs on primitive arrays. The LP's group rows are ordered
-    * by (−w, min K) and, among groups tied on that key, by the iteration
-    * order of an immutable `HashMap[Set[Int], _]` keyed on the distinct
-    * detector sets. That order is kept because it decides the LP's vertex on
-    * ties, and with it the rounded selection. A CHAMP map's iteration order
-    * depends only on its keys' hashes; the one case where insertion order
-    * decides is two tied sets whose 32-bit hashes collide in full, which are
-    * then inserted in ascending order of their first synthetic column id.
+    * The reduction runs on primitive arrays. The LP's group rows are in
+    * `groupOrder`, which decides the LP's vertex on ties, and with it the
+    * rounded selection. Its one insertion-order case, two tied sets whose
+    * 32-bit hashes collide in full, inserts them in ascending order of their
+    * first synthetic column id.
     */
   def select(candidates: IndexedSeq[AssessedCandidate],
              detections: Seq[(Int, Int)],
              nSyn: Int,
              cfg: SelectionConfig): SelectionResult = {
+    val conf = Array.tabulate(candidates.size)(candidates(_).sdc.confidence)
+    val fprOf = Array.tabulate(candidates.size)(candidates(_).fpr)
 
     // --- K_j construction (FSS filters to near-best confidence), and ------
     // --- merging of synthetic columns with identical detector sets --------
@@ -71,8 +118,8 @@ object Selection {
     var p = 0
     detections.foreach { case (s, c) => pairs(p) = (s.toLong << 32) | (c & 0xffffffffL); p += 1 }
     java.util.Arrays.sort(pairs)
-    val kIndex = mutable.HashMap.empty[ArraySeq[Int], Int]
-    val kSets = ArrayBuffer.empty[Array[Int]]
+    val kIndex = mutable.HashMap.empty[IdSet, Int]
+    val kKeys = ArrayBuffer.empty[IdSet]
     val kWeights = ArrayBuffer.empty[Int]
     val run = new Array[Int](pairs.length)
     var start = 0
@@ -86,20 +133,17 @@ object Selection {
         q += 1
       }
       start = q
-      var k = java.util.Arrays.copyOf(run, len)
-      cfg.delta.foreach { d =>
-        val best = k.map(candidates(_).sdc.confidence).max
-        k = k.filter(candidates(_).sdc.confidence >= best - d)
-      }
-      if (k.nonEmpty) {
-        val g = kIndex.getOrElseUpdate(ArraySeq.unsafeWrapArray(k), { kSets += k; kWeights += 0; kSets.size - 1 })
+      if (cfg.delta.isDefined) len = nearBest(run, len, conf, cfg.delta.get)
+      if (len > 0) {
+        val key = new IdSet(java.util.Arrays.copyOf(run, len))
+        val g = kIndex.getOrElseUpdate(key, { kKeys += key; kWeights += 0; kKeys.size - 1 })
         kWeights(g) += 1
       }
     }
-    // kSets indices in LP row order (DESIGN §5, group order rule)
-    val groups: Array[Int] = HashMap.from(kSets.indices.map(g => kSets(g).toSet -> g))
-      .valuesIterator.toArray
-      .sortBy(g => (-kWeights(g), kSets(g)(0)))
+    val keys = kKeys.toArray
+    val kSets = keys.map(_.ids)
+    val kW = kWeights.toArray
+    val groups = groupOrder(keys, kW)
 
     if (groups.isEmpty)
       return SelectionResult(IndexedSeq.empty, 0.0, 0.0, 0)
@@ -107,45 +151,74 @@ object Selection {
     // --- candidate dedup by detector signature ----------------------------
     // A candidate's signature is the increasing list of groups containing it.
     val sigLen = new Array[Int](candidates.size)
-    groups.foreach(g => kSets(g).foreach(c => sigLen(c) += 1))
+    kSets.foreach { k => var i = 0; while (i < k.length) { sigLen(k(i)) += 1; i += 1 } }
     val sigOf = Array.tabulate(candidates.size)(c => new Array[Int](sigLen(c)))
     java.util.Arrays.fill(sigLen, 0)
-    for (gi <- groups.indices; c <- kSets(groups(gi))) { sigOf(c)(sigLen(c)) = gi; sigLen(c) += 1 }
-    def better(a: Int, b: Int): Boolean = { // (fpr, −confidence) order, ties to the lower index
-      val byFpr = java.lang.Double.compare(candidates(a).fpr, candidates(b).fpr)
-      byFpr < 0 || byFpr == 0 &&
-        java.lang.Double.compare(-candidates(a).sdc.confidence, -candidates(b).sdc.confidence) < 0
+    var gi = 0
+    while (gi < groups.length) {
+      val k = kSets(groups(gi))
+      var i = 0
+      while (i < k.length) { val c = k(i); sigOf(c)(sigLen(c)) = gi; sigLen(c) += 1; i += 1 }
+      gi += 1
     }
-    val bySig = mutable.HashMap.empty[ArraySeq[Int], Int]
-    for (c <- candidates.indices if sigLen(c) > 0) {
-      val sig = ArraySeq.unsafeWrapArray(sigOf(c))
-      bySig.get(sig) match {
-        case Some(rep) if !better(c, rep) =>
-        case _ => bySig(sig) = c
+    def better(a: Int, b: Int): Boolean = { // (fpr, −confidence) order, ties to the lower index
+      val byFpr = java.lang.Double.compare(fprOf(a), fprOf(b))
+      byFpr < 0 || byFpr == 0 && java.lang.Double.compare(-conf(a), -conf(b)) < 0
+    }
+    val bySig = mutable.HashMap.empty[IdSet, Int]
+    var c = 0
+    while (c < candidates.size) {
+      if (sigLen(c) > 0) {
+        val sig = new IdSet(sigOf(c))
+        bySig.get(sig) match {
+          case Some(rep) if !better(c, rep) =>
+          case _ => bySig(sig) = c
+        }
       }
+      c += 1
     }
     val dedup: Array[Int] = bySig.valuesIterator.toArray.sorted
-    // Keep the strongest detectors if the LP would be too large.
+    // Keep the strongest detectors if the LP would be too large: by summed
+    // group weight, descending, ties to the lower index.
     val lpCands: Array[Int] =
       if (dedup.length <= cfg.maxLpCandidates) dedup
-      else dedup.sortBy(c => -sigOf(c).map(gi => kWeights(groups(gi))).sum).take(cfg.maxLpCandidates).sorted
+      else {
+        val byWeight = dedup.map(c => (Int.MaxValue - sigOf(c).map(gi => kW(groups(gi))).sum).toLong << 32 | c)
+        java.util.Arrays.sort(byWeight)
+        byWeight.take(cfg.maxLpCandidates).map(_.toInt).sorted
+      }
 
     val candPos = Array.fill(candidates.size)(-1)
     lpCands.indices.foreach(i => candPos(lpCands(i)) = i)
-    val (liveK, liveW) = groups
-      .map(g => (kSets(g).map(candPos).filter(_ >= 0), kWeights(g)))
-      .filter(_._1.nonEmpty)
-      .unzip
+    val liveK = new Array[Array[Int]](groups.length)
+    val liveW = new Array[Int](groups.length)
+    var ng = 0
+    gi = 0
+    while (gi < groups.length) {
+      val k = kSets(groups(gi))
+      var live = 0
+      var i = 0
+      while (i < k.length) { if (candPos(k(i)) >= 0) live += 1; i += 1 }
+      if (live > 0) {
+        val kl = new Array[Int](live)
+        live = 0
+        i = 0
+        while (i < k.length) { val pos = candPos(k(i)); if (pos >= 0) { kl(live) = pos; live += 1 }; i += 1 }
+        liveK(ng) = kl
+        liveW(ng) = kW(groups(gi))
+        ng += 1
+      }
+      gi += 1
+    }
 
     val nx = lpCands.length
-    val ng = liveK.length
 
     // --- CSS-LP (Eq 14-18 with integrality dropped) -----------------------
     // vars: x_0..x_{nx-1}, y_0..y_{ng-1}
     val n = nx + ng
     val obj = new Array[Double](n)
     for (g <- 0 until ng) obj(nx + g) = liveW(g).toDouble
-    val fpr = lpCands.map(candidates(_).fpr)
+    val fpr = lpCands.map(fprOf)
 
     val rows = IndexedSeq.newBuilder[Array[(Int, Double)]]
     val rhs  = IndexedSeq.newBuilder[Double]

@@ -6,6 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Assessment.{AssessedCandidate, ContingencyCounts}
 import repro.core.Selection.{SelectionConfig, SelectionResult}
 
+import scala.collection.immutable.HashMap
+
 /** `Selection.select` (array reduction) equals `SetSelection.select` (the
   * Scala-collections reduction it replaced) on every input: the same rules,
   * LP iterations and objective bits. The generators aim at the places where
@@ -57,6 +59,30 @@ object SelectionEquivalenceSpec {
       SelectionConfig(bSize = bSize, bFpr = bFpr, delta = delta, maxLpCandidates = maxLp, seed = seed))
   }
 
+  /** Several hundred K_j sets of 50–100 ids: large enough that their
+    * `Set[Int]` is a `HashSet`, sharing their minimum so that groups tie.
+    */
+  val genLargeCase: Gen[Case] = for {
+    nCand  <- Gen.choose(150, 300)
+    cands  <- Gen.listOfN(nCand, Gen.zip(genFpr, genConf))
+    nSets  <- Gen.choose(200, 400)
+    pool   <- Gen.listOfN(nSets, for {
+                lo   <- Gen.choose(0, 2)
+                size <- Gen.choose(50, 100)
+                rest <- Gen.pick(size - 1, lo + 1 until nCand)
+              } yield (lo +: rest.toSeq).toSet)
+    extra  <- Gen.listOfN(nSets / 2, Gen.oneOf(pool))
+    ks      = pool ++ extra
+    synIds <- Gen.pick(ks.size, 0 until 10000)
+    pairs   = synIds.toIndexedSeq.zip(ks).flatMap { case (s, k) => k.toSeq.map(c => (s, c)) }
+    order  <- Gen.choose(0L, Long.MaxValue)
+    delta  <- Gen.oneOf(None, Some(1e-3))
+    bSize  <- Gen.oneOf(5, 50, 500)
+    seed   <- Gen.choose(0L, 1000L)
+  } yield Case(cands.zipWithIndex.map { case ((f, c), i) => cand(i, f, c) }.toIndexedSeq,
+    new scala.util.Random(order).shuffle(pairs), ks.size,
+    SelectionConfig(bSize = bSize, bFpr = 0.1, delta = delta, seed = seed))
+
   /** Equal results, with the objectives compared bit for bit. */
   def same(a: SelectionResult, b: SelectionResult): Boolean =
     a == b &&
@@ -75,6 +101,58 @@ class SelectionEquivalenceSpec extends AnyFunSuite {
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(23L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("large K_j sets, hashed as HashSets, select what the Set reduction selects") {
+    val prop = Prop.forAll(genLargeCase) { c =>
+      val got = Selection.select(c.candidates, c.detections, c.nSyn, c.cfg)
+      val want = SetSelection.select(c.candidates, c.detections, c.nSyn, c.cfg)
+      Prop(same(got, want)) :| s"got $got\nwant $want"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(4).withInitialSeed(Seed(29L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("groups whose Set hashes collide in full keep their insertion order") {
+    // {0,5,6} and {0,4,7}: equal sum (11), xor (3), product of h|1 (35) and
+    // size, so their Set hashes collide in full; with equal weight they tie
+    // on (w, min K) too, and only insertion order separates them.
+    val a = Array(0, 5, 6)
+    val b = Array(0, 4, 7)
+    assert(a.toSet.## == b.toSet.##)
+    for (sets <- Seq(Seq(a, b), Seq(b, a))) {
+      val withOther = sets :+ Array(1, 2)
+      for (w <- Seq(Array(2, 2, 3), Array(2, 2, 2), Array(1, 1, 1))) {
+        val want = HashMap.from(withOther.indices.map(g => withOther(g).toSet -> g)).valuesIterator.toArray
+          .sortBy(g => (-w(g), withOther(g).min))
+        val got = Selection.groupOrder(withOther.map(new Selection.IdSet(_)).toArray, w)
+        assert(got.sameElements(want), s"${got.mkString(",")} vs ${want.mkString(",")}")
+        assert(got.indexOf(0) < got.indexOf(1)) // the set inserted first comes first
+      }
+    }
+    val cands = IndexedSeq(cand(0, 0.2, 0.9)) ++ (1 to 7).map(i => cand(i, if (i == 4) 0.02 else 0.01, 0.9))
+    for ((first, second) <- Seq((a, b), (b, a)); bSize <- Seq(1, 2, 5); delta <- Seq(None, Some(1e-3));
+         seed <- 0L to 3L) {
+      val cfg = SelectionConfig(bSize = bSize, bFpr = 0.1, delta = delta, seed = seed)
+      val dets = Seq(0 -> first, 1 -> second, 2 -> first, 3 -> second).flatMap { case (s, k) => k.map(s -> _) }
+      val got = Selection.select(cands, dets, 4, cfg)
+      assert(same(got, SetSelection.select(cands, dets, 4, cfg)), s"$cfg: $got")
+    }
+  }
+
+  test("IdSet hashes a sorted distinct id array as Set[Int] does") {
+    val genIds: Gen[Array[Int]] = for {
+      size <- Gen.frequency(3 -> Gen.choose(0, 4), 2 -> Gen.choose(5, 200))
+      ids  <- Gen.listOfN(size, Gen.frequency(2 -> Gen.choose(0, 64), 1 -> Gen.choose(Int.MinValue, Int.MaxValue)))
+    } yield ids.distinct.sorted.toArray
+    val prop = Prop.forAll(genIds) { ids =>
+      val want = ids.toSet.##
+      Prop(new Selection.IdSet(ids).## == want) :| ids.mkString(",")
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(31L)), prop)
     assert(result.passed, result.status)
   }
 }
