@@ -1,28 +1,21 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.core.Prediction
 import repro.corpus.TableColumn
+import repro.util.Par
 
 /** A per-column error detector — the shared shape of every baseline in paper
   * Sec 6.2. `detect` returns (value, score) pairs where a higher score means
   * more suspicious; scores only need to rank consistently (PR curves sweep
   * the threshold).
   */
-trait ErrorDetector extends Serializable {
+trait ErrorDetector {
   def name: String
   def detect(col: TableColumn): Seq[(String, Double)]
-}
 
-object DetectorRunner {
-
-  /** Apply a detector to a benchmark, distributed over columns. */
-  def run(spark: SparkSession, det: ErrorDetector, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
-    val bc = spark.sparkContext.broadcast(det)
-    spark.sparkContext
-      .parallelize(cols, math.max(1, math.min(64, cols.size / 16)))
-      .flatMap(col => bc.value.detect(col).map { case (v, s) => Prediction(col.colId, v, s) })
-      .collect()
-      .toIndexedSeq
-  }
+  /** [[detect]] over a benchmark as predictions, in column order. The
+    * columns run in parallel ([[Par]]): `detect` must be thread-safe.
+    */
+  final def predictions(cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+    Par.flatMapInOrder(cols)(col => detect(col).map { case (v, s) => Prediction(col.colId, v, s) })
 }

@@ -1,11 +1,10 @@
 package repro.core
 
-import java.util.stream.IntStream
-
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.{Candidate, EvalPlan}
 import repro.dists.{EvalBank, EvalRegistry}
+import repro.util.Par
 
 /** One error prediction: `value` in column `colId` is flagged with the given
   * confidence (max over all triggering SDCs, Example 3).
@@ -122,7 +121,7 @@ object Predictor {
 
   /** Batch prediction over many columns. The distinct values of all columns
     * get their codes at the model's edges in one pass ([[ValueCodes]]); the
-    * columns are then decided in parallel by the kernel of
+    * columns are then decided in parallel ([[Par]]) by the kernel of
     * [[SdcModel.predictColumn]]. The predictions come in column order, each
     * column's in the order `predictColumn` returns them. No Spark job runs:
     * `spark` is kept for the callers' signature.
@@ -130,13 +129,9 @@ object Predictor {
   def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
     val codes = ValueCodes(cols.iterator.flatMap(_.values), model.plans)
     val rows = model.plans.map(p => codes.row(p.eval))
-    val columns = cols.toIndexedSeq
-    val byCol = new Array[Iterable[Prediction]](columns.size)
-    IntStream.range(0, columns.size).parallel().forEach { i =>
-      val col = columns(i)
-      byCol(i) = model.decide(col.values.toArray, codes.ids(col.values), rows, _ => ())
+    Par.flatMapInOrder(cols) { col =>
+      model.decide(col.values.toArray, codes.ids(col.values), rows, _ => ())
         .map { case (v, c) => Prediction(col.colId, v, c) }
     }
-    byCol.iterator.flatten.toIndexedSeq
   }
 }

@@ -1,18 +1,16 @@
 package repro.core
 
-import java.util.stream.IntStream
-
 import org.apache.spark.sql.SparkSession
 import repro.corpus.TableColumn
 import repro.core.CandidateGen.EvalPlan
-import repro.util.Det
+import repro.util.{Det, Par}
 
 /** Distant-supervision recall estimation (paper Sec 5.3).
   *
   * C_syn: each synthetic column C(v^e) = C ∪ {v^e} takes a corpus column C
-  * and injects one value v^e sampled from a column of a *different* domain,
-  * so v^e is (almost always) an error in context — mirroring the paper's
-  * construction, which accepts a small (~3%) mislabel rate.
+  * and injects one value v^e sampled from a column of a *different*
+  * `domainTag`. The paper draws v^e from any other column, accepting ~3%
+  * mislabels; this ground-truth filter departs from it (ROADMAP item 7).
   *
   * D(r) (Eq 10) is the set of synthetic columns whose injected error r
   * detects: r's pre-condition holds on C(v^e) and f_t(v^e) > d_out.
@@ -60,17 +58,14 @@ object SynCorpus {
     * each candidate is decided on v^e's code: post-condition `f_t(v^e) > d_out`,
     * which is `code > dOutIdx` since d_out is the edge at dOutIdx, and
     * pre-condition over the n+1 values ([[ColumnProfile.coversWith]]). The
-    * synthetic columns are decided in parallel and put back in C_syn order.
+    * synthetic columns are decided in parallel, in C_syn order ([[Par]]).
     */
   private[core] def detect(syn: Seq[SynColumn], codes: ValueCodes,
                            plans: IndexedSeq[EvalPlan]): IndexedSeq[(Int, Int)] = {
     val rows = plans.map(p => codes.row(p.eval))
     // passing(k)(code): plan k's candidates whose post-condition holds on a v^e with that code
     val passing = plans.map(p => Array.tabulate(p.thresholds.length + 1)(b => p.candidates.filter(_.dOutIdx < b)))
-    val cols = syn.toIndexedSeq
-    val hits = new Array[IndexedSeq[(Int, Int)]](cols.size)
-    IntStream.range(0, cols.size).parallel().forEach { i =>
-      val sc = cols(i)
+    Par.flatMapInOrder(syn) { sc =>
       val base = codes.ids(sc.baseValues)
       val err = codes.id(sc.errValue)
       val out = IndexedSeq.newBuilder[(Int, Int)]
@@ -82,8 +77,7 @@ object SynCorpus {
           cands.foreach { c => if (profile.coversWith(code, c.dInIdx, c.m)) out += ((sc.synId, c.idx)) }
         }
       }
-      hits(i) = out.result()
+      out.result()
     }
-    hits.toIndexedSeq.flatten
   }
 }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
 /** A single table column — the unit of both training corpora and benchmarks.
   *
   * @param colId     stable unique id
-  * @param domainTag generating semantic domain (held out from all learners;
-  *                  only used by generators and for diagnostics)
+  * @param domainTag generating semantic domain (ground truth; read on the
+  *                  training path by `SynCorpus.generate`, ROADMAP item 7)
   * @param values    the column's *distinct* values (SDC pre/post conditions
   *                  operate on the distinct-value set; see DESIGN §5)
   * @param errors    labelled erroneous values (ground truth; empty if clean)

@@ -30,7 +30,7 @@ final class CtaClassifier private (
   override def family: String = DomainEval.Cta
 
   /** This classifier alone, the path of every per-value call. */
-  @transient private lazy val alone = new CtaClassifier.Bank(IndexedSeq(this))
+  private lazy val alone = new CtaClassifier.Bank(IndexedSeq(this))
 
   /** Classifier similarity score in [0, 1]. */
   def score(raw: String): Double = alone.scores(Array(raw))(0)(0)

@@ -6,10 +6,10 @@ package repro.dists
   *
   * All four column-type detection families (CTA classifiers, embeddings,
   * patterns, validation functions) are standardised behind this interface so
-  * the SDC machinery can reason about them uniformly. Instances are
-  * broadcast to Spark executors, hence Serializable with compact state.
+  * the SDC machinery can reason about them uniformly. Passes share one
+  * instance across threads, so `distance` must be thread-safe and bit-stable.
   */
-trait DomainEval extends Serializable {
+trait DomainEval {
 
   /** Globally unique id, e.g. "cta:sherlock:city" or "pat:\\d+ [a-zA-Z]+". */
   def id: String

@@ -14,7 +14,7 @@ import repro.domains.Vocab
   * Counts are scaled down from the paper's (199 + 2000 + 45 + 8) to keep the
   * pipeline in-container; every count is a parameter (DESIGN §2).
   */
-final class EvalRegistry(val all: IndexedSeq[DomainEval]) extends Serializable {
+final class EvalRegistry(val all: IndexedSeq[DomainEval]) {
 
   val byId: Map[String, DomainEval] = all.map(e => e.id -> e).toMap
 

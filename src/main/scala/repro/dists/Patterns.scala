@@ -1,7 +1,8 @@
 package repro.dists
 
+import java.nio.charset.StandardCharsets.UTF_8
+
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.unsafe.types.UTF8String
 
 /** Pattern-based domain evaluation (paper Sec 3, method 3).
   *
@@ -66,14 +67,17 @@ object Patterns {
     * stores for it, so an unpaired surrogate reads '?'.
     */
   def mine(rows: Iterator[(String, String)], topK: Int, domFrac: Double = 0.8): Seq[String] =
-    columnCounts(rows, v => asSparkString(generalize(v))).toSeq
+    columnCounts(rows, { v =>
+      val p = generalize(v) // a UTF-8 round trip, as Spark stores strings
+      if (p.exists(Character.isSurrogate)) new String(p.getBytes(UTF_8), UTF_8) else p
+    }).toSeq
       .flatMap { counts =>
         val total = counts.values.sum
         counts.collect { case (pattern, cnt) if cnt >= total * domFrac && pattern != "<empty>" => pattern }
       }
       .groupMapReduce(identity)(_ => 1L)(_ + _).toSeq
-      .map { case (pattern, n) => (pattern, n, UTF8String.fromString(pattern)) }
-      .sortWith { (a, b) => a._2 > b._2 || (a._2 == b._2 && a._3.compareTo(b._3) < 0) }
+      .map { case (pattern, n) => (pattern, n, pattern.getBytes(UTF_8)) }
+      .sortWith { (a, b) => a._2 > b._2 || (a._2 == b._2 && java.util.Arrays.compareUnsigned(a._3, b._3) < 0) }
       .take(topK)
       .map(_._1)
 
@@ -84,12 +88,6 @@ object Patterns {
 
   /** The most frequent pattern of `pats` and its count; ties go to the first in `groupBy`'s map. */
   def dominant(pats: Seq[String]): (String, Int) = pats.groupBy(identity).view.mapValues(_.size).maxBy(_._2)
-
-  /** The string Spark stores for `s`: UTF-8 encoding replaces an unpaired
-    * surrogate (a truncated pattern can end in one) with '?'.
-    */
-  private def asSparkString(s: String): String =
-    if (s.exists(Character.isSurrogate)) UTF8String.fromString(s).toString else s
 }
 
 /** 0/1 distance to a fixed pattern (Eq 3). [[EvalBank]] reads `pattern` to

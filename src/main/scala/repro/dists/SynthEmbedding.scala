@@ -27,7 +27,7 @@ final class SynthEmbedding private (
     phraseVecs: Map[String, Array[Double]],
     oovSigma: Double,
     globalScale: Double,
-) extends Serializable {
+) {
 
   /** Embed a (raw) value; total function, never fails. */
   def embed(raw: String): Array[Double] = {

@@ -115,7 +115,7 @@ object Experiments {
                        override val realOnly: Boolean = false) extends Method {
     lazy val detector: ErrorDetector = build
     def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
-      DetectorRunner.run(spark, detector, cols)
+      detector.predictions(cols)
   }
 
   /** Table 4's rows in order: the Auto-Test variants, then 20 baselines in

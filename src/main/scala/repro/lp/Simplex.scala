@@ -8,14 +8,16 @@ package repro.lp
   * feasible and no phase-1 is required).
   *
   * Pivoting: Dantzig rule (most negative reduced cost) with a switch to
-  * Bland's rule after an iteration budget, which guarantees termination
-  * without cycling. The largest tableau measured, the CSS LP at the
-  * reference scale (3,000 columns, 2,500 LP candidates), is 4,732 × 8,348
-  * doubles, about 316 MB. A pivot updates only the columns where the pivot
-  * row is non-zero: the values it skips would change at most in the sign of
-  * a zero, which no pivot decision reads, and the right-hand side never
-  * becomes −0.0 (b holds no −0.0), so pivots and results equal a full-row
-  * update bit for bit.
+  * Bland's rule after an iteration budget. In floating point that does not
+  * guarantee termination (one CSS LP diverged to 200,000 pivots), and the
+  * optimum is not certified (the reference CSS optima at training seeds 42
+  * and 43 break rows): a known defect, ROADMAP item 1. The largest tableau
+  * measured, the CSS LP at the reference scale (3,000 columns, 2,500 LP
+  * candidates), is 4,732 × 8,348 doubles, about 316 MB. A pivot updates
+  * only the columns where the pivot row is non-zero: the values it skips
+  * would change at most in the sign of a zero, which no pivot decision
+  * reads, and the right-hand side never becomes −0.0 (b holds no −0.0), so
+  * pivots and results equal a full-row update bit for bit.
   */
 object Simplex {
 

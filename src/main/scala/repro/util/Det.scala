@@ -4,11 +4,11 @@ package repro.util
   *
   * Every random draw in the reproduction goes through this object so that
   * corpora, trained models, and bench outputs are bit-stable across runs and
-  * across Spark executors (no mutable RNG state is ever shared; each draw is
-  * a pure function of its seed material).
+  * across the thread counts of the driver's parallel passes (no mutable RNG
+  * state is ever shared; each draw is a pure function of its seed material).
   *
   * The mixer is the splitmix64 finalizer, which has full avalanche behaviour
-  * and is cheap enough to call per value in Spark UDFs.
+  * and is cheap enough to call per value.
   */
 object Det {
 
@@ -108,7 +108,7 @@ object Det {
     * computed once per instance, so a draw is one scan. For n > 4096 the
     * scan is replaced by a power draw.
     */
-  final class Zipf(n: Int, alpha: Double) extends Serializable {
+  final class Zipf(n: Int, alpha: Double) {
     private val tabulated = n <= 4096
     private val w: Array[Double] =
       if (tabulated) Array.tabulate(n)(k => 1.0 / math.pow(k + 1.0, alpha)) else Array.emptyDoubleArray

@@ -1,11 +1,12 @@
 package repro.baselines
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Prediction
 import repro.corpus.{CorpusGen, TableColumn}
 import repro.domains.Vocab
 import repro.experiments.Baselines
 
-class BaselinesSpec extends SparkSpec {
+class BaselinesSpec extends AnyFunSuite {
 
   private def col(id: String, vals: Seq[String]) = TableColumn(id, "d", vals, Nil, vals.size.toLong)
 
@@ -134,13 +135,11 @@ class BaselinesSpec extends SparkSpec {
     assert(b.detect(unitCol).isEmpty)
   }
 
-  test("DetectorRunner distributes and matches local application") {
+  test("predictions are each column's detections, in column order") {
     val det = Baselines("Regex")
-    val cols = Seq(unitCol, dateCol, monthCol)
-    val dist = DetectorRunner.run(spark, det, cols).toSet
-    val local = cols.flatMap(c => det.detect(c).map { case (v, s) =>
-      repro.core.Prediction(c.colId, v, s)
-    }).toSet
-    assert(dist == local)
+    val cols = (0 until 60).map(i => Seq(unitCol, dateCol, monthCol, nameCol)(i % 4).copy(colId = s"c$i"))
+    val local = cols.flatMap(c => det.detect(c).map { case (v, s) => Prediction(c.colId, v, s) })
+    assert(local.map(_.colId).distinct.size > 10)
+    assert(det.predictions(cols) == local)
   }
 }
