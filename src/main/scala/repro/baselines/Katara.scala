@@ -8,12 +8,12 @@ import repro.domains.Vocab
   *
   * Maps a column to a knowledge-base type by value overlap against the KB
   * (here: the common heads of the NL domains, i.e. what a curated KB like
-  * YAGO would contain), using a *static* threshold, then flags values absent
-  * from the KB. Uncalibrated by construction — valid-but-uncommon entities
-  * are not in the KB and become false positives, which is why the paper
-  * reports Katara near zero.
+  * YAGO would contain), using a *static* threshold (half the column's
+  * values), then flags values absent from the KB. Uncalibrated by
+  * construction — valid-but-uncommon entities are not in the KB and become
+  * false positives, which is why the paper reports Katara near zero.
   */
-final class Katara(mapThreshold: Double = 0.5) extends ErrorDetector {
+final class Katara extends ErrorDetector {
 
   override val name = "Katara"
 
@@ -24,7 +24,7 @@ final class Katara(mapThreshold: Double = 0.5) extends ErrorDetector {
       normed.count(entities.contains)
     }
     best match {
-      case Some((_, entities)) if normed.count(entities.contains).toDouble / normed.size >= mapThreshold =>
+      case Some((_, entities)) if normed.count(entities.contains).toDouble / normed.size >= 0.5 =>
         col.values.zip(normed).collect {
           case (v, nv) if !entities.contains(nv) => (v, 0.5) // single confidence level
         }

@@ -52,12 +52,12 @@ object Stats {
     * @param nCT  |C^r_{C,T}|  covered-and-triggered columns (false triggers)
     * @param nCnT |C^r_{C,!T}| covered-not-triggered columns
     */
-  def wilsonConfidence(nCT: Long, nCnT: Long, z: Double = Z95): Double = {
+  def wilsonConfidence(nCT: Long, nCnT: Long): Double = {
     val nC = (nCT + nCnT).toDouble
     if (nC == 0) return 0.0
-    val z2 = z * z
+    val z2 = Z95 * Z95
     val center = (nCT + 0.5 * z2) / (nC + z2)
-    val spread = z / (nC + z2) * math.sqrt(nCT.toDouble * nCnT.toDouble / nC + z2 / 4.0)
+    val spread = Z95 / (nC + z2) * math.sqrt(nCT.toDouble * nCnT.toDouble / nC + z2 / 4.0)
     math.max(0.0, 1.0 - center - spread)
   }
 
@@ -73,9 +73,9 @@ object Stats {
     * confidence upper bound of Eq 19, 1 − z²/(n + z²) (a rule with zero false
     * triggers), to reach `cThres`.
     */
-  def minCoverageFor(cThres: Double, z: Double = Z95): Long = {
+  def minCoverageFor(cThres: Double): Long = {
     require(cThres > 0 && cThres < 1, s"cThres must be in (0,1), got $cThres")
-    val z2 = z * z
+    val z2 = Z95 * Z95
     math.ceil(z2 * cThres / (1.0 - cThres)).toLong
   }
 }

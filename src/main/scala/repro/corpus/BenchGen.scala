@@ -23,12 +23,12 @@ object BenchGen {
   )
 
   /** ST-Bench: spreadsheet columns are shorter; 47/1200 dirty in the paper. */
-  def stProfile(nCols: Int = 1200): BenchProfile =
+  def stProfile(nCols: Int): BenchProfile =
     BenchProfile("st-bench", nCols, meanDistinct = 12, dirtyFrac = 0.039,
       Det.hashString("st-bench"))
 
   /** RT-Bench: relational columns are longer; 40/1200 dirty in the paper. */
-  def rtProfile(nCols: Int = 1200): BenchProfile =
+  def rtProfile(nCols: Int): BenchProfile =
     BenchProfile("rt-bench", nCols, meanDistinct = 22, dirtyFrac = 0.033,
       Det.hashString("rt-bench"))
 

@@ -35,15 +35,15 @@ object CorpusGen {
   // names, decimal units) so the statistical tests reject over-general
   // rules, while short columns in C_syn force the selection step to keep
   // robust low-m rule variants.
-  def relationalProfile(nCols: Int = 4000): Profile =
+  def relationalProfile(nCols: Int): Profile =
     Profile("relational-tables", nCols, medianDistinct = 18, logSigma = 1.30,
       dupFactor = 75.0, noiseRate = 0.01, seed = Det.hashString("relational-tables"))
 
-  def spreadsheetProfile(nCols: Int = 4000): Profile =
+  def spreadsheetProfile(nCols: Int): Profile =
     Profile("spreadsheet-tables", nCols, medianDistinct = 14, logSigma = 0.85,
       dupFactor = 10.0, noiseRate = 0.06, seed = Det.hashString("spreadsheet-tables"))
 
-  def tablibProfile(nCols: Int = 4000): Profile =
+  def tablibProfile(nCols: Int): Profile =
     Profile("tablib", nCols, medianDistinct = 14, logSigma = 1.30,
       dupFactor = 6.0, noiseRate = 0.02, seed = Det.hashString("tablib"))
 

@@ -61,19 +61,19 @@ object Patterns {
       .map(_.groupMapReduce(identity)(_ => 1L)(_ + _))
 
   /** Mine the `topK` patterns that most often *dominate* a corpus column
-    * (cover >= `domFrac` of its values) from (column id, value) rows. They
+    * (cover >= 80% of its values) from (column id, value) rows. They
     * rank by the number of columns dominated, descending, ties in UTF-8 byte
     * order, as Spark orders strings. A pattern is counted as the string Spark
     * stores for it, so an unpaired surrogate reads '?'.
     */
-  def mine(rows: Iterator[(String, String)], topK: Int, domFrac: Double = 0.8): Seq[String] =
+  def mine(rows: Iterator[(String, String)], topK: Int): Seq[String] =
     columnCounts(rows, { v =>
       val p = generalize(v) // a UTF-8 round trip, as Spark stores strings
       if (p.exists(Character.isSurrogate)) new String(p.getBytes(UTF_8), UTF_8) else p
     }).toSeq
       .flatMap { counts =>
         val total = counts.values.sum
-        counts.collect { case (pattern, cnt) if cnt >= total * domFrac && pattern != "<empty>" => pattern }
+        counts.collect { case (pattern, cnt) if cnt >= total * 0.8 && pattern != "<empty>" => pattern }
       }
       .groupMapReduce(identity)(_ => 1L)(_ + _).toSeq
       .map { case (pattern, n) => (pattern, n, pattern.getBytes(UTF_8)) }
@@ -82,9 +82,8 @@ object Patterns {
       .map(_._1)
 
   /** [[mine]] over a DataFrame with (col_id: string, value: string). */
-  def minePatterns(exploded: DataFrame, topK: Int = 45, domFrac: Double = 0.8): Seq[String] =
-    mine(exploded.select("col_id", "value").collect().iterator.map(r => (r.getString(0), r.getString(1))),
-      topK, domFrac)
+  def minePatterns(exploded: DataFrame, topK: Int): Seq[String] =
+    mine(exploded.select("col_id", "value").collect().iterator.map(r => (r.getString(0), r.getString(1))), topK)
 
   /** The most frequent pattern of `pats` and its count; ties go to the first in `groupBy`'s map. */
   def dominant(pats: Seq[String]): (String, Int) = pats.groupBy(identity).view.mapValues(_.size).maxBy(_._2)

@@ -1,6 +1,6 @@
 package repro.dists
 
-import repro.domains.{Vocab, VocabDomain}
+import repro.domains.Vocab
 import repro.linalg.LinAlg
 import repro.util.Det
 
@@ -77,26 +77,26 @@ object SynthEmbedding {
   private val CentroidSigma = 1.6
   private val OovSigma      = 1.8
 
-  private def centroid(embName: String, domainName: String): Array[Double] = {
+  /** A domain's centroid, shared by both models (GloVe and SBERT see the
+    * same world); the model name only affects the word noise.
+    */
+  private def centroid(domainName: String): Array[Double] = {
     val s = Det.combine(Det.hashString("centroid"), Det.hashString(domainName))
-    // Centroids are shared across embedding models (both GloVe and SBERT see
-    // the same world); embName only affects noise.
-    val _ = embName
     Array.tabulate(Dim)(i => CentroidSigma * Det.gaussian(Det.combine(s, i.toLong)))
   }
 
   private def noisyWord(embName: String, domainName: String, word: String,
                         sigma: Double, hardFrac: Double): Array[Double] = {
-    val c = centroid(embName, domainName)
+    val c = centroid(domainName)
     val ws = Det.combine(Det.hashString(embName), Det.hashString(domainName), Det.hashString(word))
     val s  = if (Det.uniform(Det.combine(ws, 0x4aad)) < hardFrac) sigma * 3.0 else sigma
     Array.tabulate(Dim)(i => c(i) + s * Det.gaussian(Det.combine(ws, i.toLong)))
   }
 
-  /** Word-level GloVe-sim over the common heads of the given domains. */
-  def glove(domains: Seq[VocabDomain] = Vocab.nlDomains): SynthEmbedding = {
+  /** Word-level GloVe-sim over the common heads of the NL domains. */
+  def glove(): SynthEmbedding = {
     val tokens = scala.collection.mutable.Map.empty[String, Array[Double]]
-    domains.foreach { d =>
+    Vocab.nlDomains.foreach { d =>
       d.common.foreach { w =>
         tokenize(w).foreach { tok =>
           // First domain to claim a token wins (e.g. "georgia" state/country).
@@ -108,11 +108,11 @@ object SynthEmbedding {
     new SynthEmbedding("glove", Dim, tokens.toMap, Map.empty, OovSigma, globalScale = 1.0)
   }
 
-  /** Phrase-level SBERT-sim over the full vocabularies of the given domains. */
-  def sbert(domains: Seq[VocabDomain] = Vocab.nlDomains): SynthEmbedding = {
+  /** Phrase-level SBERT-sim over the full vocabularies of the NL domains. */
+  def sbert(): SynthEmbedding = {
     val phrases = scala.collection.mutable.Map.empty[String, Array[Double]]
     val tokens  = scala.collection.mutable.Map.empty[String, Array[Double]]
-    domains.foreach { d =>
+    Vocab.nlDomains.foreach { d =>
       d.all.foreach { w =>
         if (!phrases.contains(w))
           phrases(w) = noisyWord("sbert", d.name, w, sigma = 0.25, hardFrac = 0.08)

@@ -25,26 +25,29 @@ sealed trait Domain {
 
 /** Finite-vocabulary natural-language domain.
   *
-  * `common` values dominate draws (zipf over the concatenated vocab), so a
-  * realistic column holds mostly common values with an occasional uncommon
-  * one — exactly the distribution that makes naive per-value scoring produce
-  * false positives.
+  * `common` values dominate draws (zipf with exponent 0.9 over the
+  * concatenated vocab), so a realistic column holds mostly common values
+  * with an occasional uncommon one — exactly the distribution that makes
+  * naive per-value scoring produce false positives.
   */
 final case class VocabDomain(
     name: String,
     common: IndexedSeq[String],
     uncommon: IndexedSeq[String],
-    zipfAlpha: Double = 0.9,
 ) extends Domain {
   require(common.nonEmpty, s"domain $name needs a non-empty common vocab")
 
   val all: IndexedSeq[String] = common ++ uncommon
 
-  private val ranks = new Det.Zipf(all.length, zipfAlpha)
+  private val ranks = new Det.Zipf(all.length, VocabDomain.ZipfAlpha)
 
   override def isMachine: Boolean = false
 
   override def draw(seed: Long): String = all(ranks.draw(seed))
+}
+
+object VocabDomain {
+  val ZipfAlpha = 0.9
 }
 
 /** Machine-generated domain: values produced by a deterministic generator. */

@@ -12,11 +12,9 @@ import repro.outlier.OutlierDetectors
 import repro.util.Det
 
 /** Shared experiment harness behind the per-table benches (bench/) and
-  * spark-submit jobs (jobs/). All scale knobs are env-overridable:
-  *
-  *   REPRO_CORPUS_COLS  training-corpus columns per corpus (default 3000)
-  *   REPRO_BENCH_COLS   benchmark columns per bench (default 1200, as paper)
-  *   REPRO_NSYN         |C_syn| (default 2500)
+  * spark-submit jobs (jobs/), at one scale: [[CorpusCols]] columns per
+  * training corpus, [[BenchCols]] per benchmark (as in the paper) and
+  * [[NSyn]] synthetic columns. The `bench/` gates are calibrated at it.
   *
   * Heavy artefacts (corpora, trained models, benchmark variants, baseline
   * detectors) are memoised so the bench suites, which run sequentially in
@@ -25,14 +23,9 @@ import repro.util.Det
   */
 object Experiments {
 
-  /** A positive integer setting; a malformed value is rejected, naming the variable. */
-  private[experiments] def envInt(name: String, default: Int, env: Map[String, String] = sys.env): Int =
-    env.get(name).fold(default)(s => s.toIntOption.filter(_ > 0).getOrElse(
-      throw new IllegalArgumentException(s"$name must be a positive integer, got '$s'")))
-
-  val CorpusCols: Int = envInt("REPRO_CORPUS_COLS", 3000)
-  val BenchCols: Int  = envInt("REPRO_BENCH_COLS", 1200)
-  val NSyn: Int       = envInt("REPRO_NSYN", 2500)
+  val CorpusCols = 3000
+  val BenchCols  = 1200
+  val NSyn       = 2500
 
   def trainConfig: AutoTest.AutoTestConfig = AutoTest.AutoTestConfig(
     nCentroids = 200, nPatterns = 40, nSyn = NSyn,
@@ -136,8 +129,8 @@ object Experiments {
         new BankZScore("DataPrep", validatorBank("date", "time", "number", "phone")),
         new BankZScore("Validators", validatorBank("url", "email", "ip", "credit_card"))) ++
       Seq(new Baseline("Data-cleaning", AutoDetect.name, AutoDetect.train(corpus("relational-tables")))) ++
-      group("Data-cleaning")(new Katara()) ++
-      group("Outlier")(new Svdd, new Dbod, new Lof(), new Rkde, new Ppca(), new IForest()) ++
+      group("Data-cleaning")(new Katara) ++
+      group("Outlier")(new Svdd, new Dbod, new Lof, new Rkde, new Ppca, new IForest) ++
       group("GPT")(
         new GptSim("few-shot-with-COT", 1.0, Det.hashString("gpt-fs-cot")),
         new GptSim("few-shot-no-COT", 1.5, Det.hashString("gpt-fs")),

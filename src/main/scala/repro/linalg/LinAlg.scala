@@ -72,10 +72,14 @@ object LinAlg {
     c.map(_.map(_ / n))
   }
 
-  /** Jacobi eigendecomposition of a symmetric matrix.
+  /** Jacobi eigendecomposition of a symmetric matrix: at most 64 sweeps,
+    * stopping once the off-diagonal square sum is at most 1e-12 (entries
+    * at most 1e-12 in magnitude are not rotated).
     * Returns (eigenvalues desc, eigenvectors as columns matching order).
     */
-  def symmetricEigen(m0: Mat, maxSweeps: Int = 64, tol: Double = 1e-12): (Vec, Mat) = {
+  def symmetricEigen(m0: Mat): (Vec, Mat) = {
+    val maxSweeps = 64
+    val tol = 1e-12
     val d = m0.length
     val a = m0.map(_.clone())
     val v = Array.tabulate(d, d)((i, j) => if (i == j) 1.0 else 0.0)

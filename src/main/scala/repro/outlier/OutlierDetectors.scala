@@ -49,11 +49,11 @@ object OutlierDetectors {
 
   // ------------------------------------------------------------------- LOF
   /** Local Outlier Factor (Breunig et al. 2000), k=3. */
-  final class Lof(k: Int = 3) extends FeatureDetector("LOF") {
+  final class Lof extends FeatureDetector("LOF") {
     override def scores(x: Array[Array[Double]], seed: Long): Array[Double] = {
       val n = x.length
       val d = pairwise(x)
-      val kk = math.min(k, n - 1)
+      val kk = math.min(3, n - 1)
       val kDist = Array.tabulate(n)(i => kthSmallest(d(i), i, kk))
       val neighbors = Array.tabulate(n) { i =>
         (0 until n).filter(j => j != i && d(i)(j) <= kDist(i) + 1e-12)
@@ -104,7 +104,9 @@ object OutlierDetectors {
 
   // ---------------------------------------------------------------- IForest
   /** Isolation forest (Liu et al. 2008): 25 trees, subsample 64. */
-  final class IForest(nTrees: Int = 25, subsample: Int = 64) extends FeatureDetector("IForest") {
+  final class IForest extends FeatureDetector("IForest") {
+    private val nTrees = 25
+    private val subsample = 64
     override def scores(x: Array[Array[Double]], seed: Long): Array[Double] = {
       val n = x.length
       val dim = x.head.length
@@ -167,19 +169,19 @@ object OutlierDetectors {
   }
 
   // ------------------------------------------------------------------ PPCA
-  /** Probabilistic PCA (Tipping & Bishop 1999): keep q components, score by
+  /** Probabilistic PCA (Tipping & Bishop 1999): keep 3 components, score by
     * reconstruction error.
     */
-  final class Ppca(q: Int = 3) extends FeatureDetector("PPCA") {
+  final class Ppca extends FeatureDetector("PPCA") {
     override def scores(x: Array[Array[Double]], seed: Long): Array[Double] = {
       val mu = LinAlg.mean(x.toIndexedSeq)
       val cov = LinAlg.covariance(x.toIndexedSeq)
       val (evals, evecs) = LinAlg.symmetricEigen(cov)
       val dim = mu.length
-      val keep = math.min(q, dim)
+      val keep = math.min(3, dim)
       x.map { v =>
         val centered = LinAlg.sub(v, mu)
-        // Project onto the top-q principal subspace and reconstruct.
+        // Project onto the top-3 principal subspace and reconstruct.
         val recon = new Array[Double](dim)
         for (k <- 0 until keep if evals(k) > 1e-12) {
           val comp = Array.tabulate(dim)(i => evecs(i)(k))

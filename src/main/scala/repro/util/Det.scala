@@ -98,31 +98,21 @@ object Det {
     shuffle(seed, 0 until n).take(k).toIndexedSeq
   }
 
-  /** Zipf-distributed rank in [0, n) with exponent alpha (inverse-CDF). */
-  def zipf(seed: Long, n: Int, alpha: Double): Int = new Zipf(n, alpha).draw(seed)
-
   /** Zipf ranks in [0, n) with exponent alpha, for repeated draws.
     *
     * Rank weights 1/(k+1)^alpha; sampled by linear scan over the CDF of a
     * truncated harmonic series. The weights and their left-to-right sum are
-    * computed once per instance, so a draw is one scan. For n > 4096 the
-    * scan is replaced by a power draw.
+    * computed once per instance, so a draw is one scan.
     */
   final class Zipf(n: Int, alpha: Double) {
-    private val tabulated = n <= 4096
-    private val w: Array[Double] =
-      if (tabulated) Array.tabulate(n)(k => 1.0 / math.pow(k + 1.0, alpha)) else Array.emptyDoubleArray
+    private val w: Array[Double] = Array.tabulate(n)(k => 1.0 / math.pow(k + 1.0, alpha))
     private val total: Double = { var s = 0.0; w.foreach(s += _); s }
 
-    def draw(seed: Long): Int =
-      if (tabulated) {
-        var u = uniform(seed) * total
-        var i = 0
-        while (i < n - 1 && u >= w(i)) { u -= w(i); i += 1 }
-        i
-      } else {
-        val u = math.max(uniform(seed), 1e-12)
-        math.min(n - 1, (math.pow(1.0 / u, 1.0 / alpha) - 1.0).toInt)
-      }
+    def draw(seed: Long): Int = {
+      var u = uniform(seed) * total
+      var i = 0
+      while (i < n - 1 && u >= w(i)) { u -= w(i); i += 1 }
+      i
+    }
   }
 }

@@ -6,7 +6,8 @@ import scala.jdk.CollectionConverters._
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Where the program may use Spark. Spark does relational work for Table 3
+/** Where the program may use Spark, and that it reads no environment
+  * variable but Spark's master. Spark does relational work for Table 3
   * (`ColumnStore.toDf`) and runs the tables (`TableJob`); the other files
   * below keep a `SparkSession` parameter or a DataFrame adapter that the
   * benchmark harness calls (DESIGN §3, "Where Spark remains, and why").
@@ -51,5 +52,12 @@ class SparkImportsSpec extends AnyFunSuite {
     val banned = Seq("org.apache.spark.unsafe", "sparkContext", "extends Serializable", "@transient")
     val found = for ((f, lines) <- sources; l <- lines; b <- banned if l.contains(b)) yield s"$f: $b"
     assert(found.isEmpty, found.mkString("; "))
+  }
+
+  test("the only environment read is TableJob's SPARK_MASTER, a deployment setting") {
+    val reads = for ((f, lines) <- sources; l <- lines if l.contains("sys.env") || l.contains("System.getenv"))
+      yield (f, l.trim)
+    assert(reads.map(_._1) == Seq("jobs/TableJob.scala") && reads.head._2.contains("\"SPARK_MASTER\""),
+      reads.mkString("; "))
   }
 }

@@ -100,7 +100,7 @@ class PatternsSpec extends SparkSpec {
     }
     val expected = Seq("-" * 59 + "?…", "[a-zA-Z]+", privateUse, "\uFFFD", emoji)
     assert(Patterns.minePatterns(exploded(cols), topK = 10) == expected)
-    assert(SqlPatternMiner.minePatterns(exploded(cols), 10, 0.8) == expected)
+    assert(SqlPatternMiner.minePatterns(exploded(cols), 10) == expected)
   }
 
   test("minePatterns equals the SQL aggregation at 1, 3 and 16 partitions") {
@@ -119,14 +119,13 @@ class PatternsSpec extends SparkSpec {
     val corpus = Gen.choose(0, 12).flatMap(Gen.listOfN(_, column)).map(_.zipWithIndex.map {
       case (vs, i) => TableColumn(s"c$i", "d", vs, Nil, vs.size.toLong)
     })
-    val domFrac = Gen.oneOf(Gen.oneOf(0.3, 0.5, 0.8, 1.0), Gen.choose(0.05, 1.0))
     var minedLone = 0 // cases whose mined patterns hold a '?' from an unpaired surrogate in a value
-    val prop = Prop.forAll(corpus, Gen.choose(1, 12), domFrac) { (cols, topK, frac) =>
+    val prop = Prop.forAll(corpus, Gen.choose(1, 12)) { (cols, topK) =>
       val df = exploded(cols)
-      val expected = SqlPatternMiner.minePatterns(df, topK, frac)
+      val expected = SqlPatternMiner.minePatterns(df, topK)
       if (expected.exists(p => p.stripSuffix("?…").contains('?'))) minedLone += 1
-      Patterns.mine(ColumnStore.rows(cols), topK, frac) == expected &&
-        Seq(1, 3, 16).forall(p => Patterns.minePatterns(df.repartition(p), topK, frac) == expected)
+      Patterns.mine(ColumnStore.rows(cols), topK) == expected &&
+        Seq(1, 3, 16).forall(p => Patterns.minePatterns(df.repartition(p), topK) == expected)
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(11L)), prop)

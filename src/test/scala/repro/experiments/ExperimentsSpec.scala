@@ -61,16 +61,6 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(Experiments.ErrorSettings == Seq("real" -> 0.0, "+5%" -> 0.05, "+10%" -> 0.10, "+20%" -> 0.20))
   }
 
-  test("envInt rejects a non-integer or non-positive value, naming the variable") {
-    assert(Experiments.envInt("REPRO_CORPUS_COLS", 3000, Map.empty) == 3000)
-    assert(Experiments.envInt("REPRO_CORPUS_COLS", 3000, Map("REPRO_CORPUS_COLS" -> "12")) == 12)
-    Seq("abc", "", "1.5", "0", "-3").foreach { v =>
-      val e = intercept[IllegalArgumentException](
-        Experiments.envInt("REPRO_CORPUS_COLS", 3000, Map("REPRO_CORPUS_COLS" -> v)))
-      assert(e.getMessage.contains("REPRO_CORPUS_COLS") && e.getMessage.contains(s"'$v'"), e.getMessage)
-    }
-  }
-
   test("corpus() rejects unknown names") {
     intercept[IllegalArgumentException](Experiments.corpus("nope"))
   }
