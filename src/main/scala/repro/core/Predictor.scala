@@ -22,7 +22,9 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   * lookup however many SDCs share it (the Appendix B.2 dedup). One kernel
   * decides a column from codes, whether [[predictColumn]] and
   * [[explainColumn]] compute them with the model's own [[EvalBank]] or
-  * [[Predictor.predict]] looks them up in a batch's [[ValueCodes]].
+  * [[Predictor.predict]] looks them up in a batch's [[ValueCodes]]. A
+  * single column is scored value by value, and an evaluator is scored no
+  * more once none of its pre-conditions can hold on the column.
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
@@ -48,9 +50,11 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
   /** The prediction kernel: flagged value -> max confidence over the SDCs
     * that trigger on it, for the column `values` whose ids in `rows(k)`, the
-    * codes of plan k, are `ids`. Each SDC whose pre-condition holds is passed
-    * to `covered`, in kernel order. SDCs that share a pre-condition are
-    * adjacent, so it is looked up once for them.
+    * codes of plan k, are `ids`. A null `rows(k)` marks a plan none of whose
+    * pre-conditions holds on the column, and the plan is skipped. Each SDC
+    * whose pre-condition holds is passed to `covered`, in kernel order. SDCs
+    * that share a pre-condition are adjacent, so it is looked up once for
+    * them.
     */
   private[core] def decide(values: Array[String], ids: Array[Int], rows: IndexedSeq[Array[Byte]],
                            covered: Sdc => Unit): Map[String, Double] = {
@@ -59,42 +63,86 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
     while (k < candidates.length) {
       val cands = candidates(k)
       val row = rows(k)
-      val profile = ColumnProfile.fromCodes(row, ids, plans(k).thresholds.length)
-      var holds = false
-      var i = 0
-      while (i < cands.length) {
-        val c = cands(i)
-        if (i == 0 || c.dInIdx != cands(i - 1).dInIdx || c.m != cands(i - 1).m) holds = profile.covers(c.dInIdx, c.m)
-        if (holds) {
-          val sdc = ordered(c.idx)
-          covered(sdc)
-          val conf = sdc.confidence
-          var j = 0
-          while (j < ids.length) {
-            if (row(ids(j)) > c.dOutIdx) {
-              val v = values(j)
-              if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
+      if (row != null) {
+        val profile = ColumnProfile.fromCodes(row, ids, plans(k).thresholds.length)
+        var holds = false
+        var i = 0
+        while (i < cands.length) {
+          val c = cands(i)
+          if (i == 0 || c.dInIdx != cands(i - 1).dInIdx || c.m != cands(i - 1).m) holds = profile.covers(c.dInIdx, c.m)
+          if (holds) {
+            val sdc = ordered(c.idx)
+            covered(sdc)
+            val conf = sdc.confidence
+            var j = 0
+            while (j < ids.length) {
+              if (row(ids(j)) > c.dOutIdx) {
+                val v = values(j)
+                if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
+              }
+              j += 1
             }
-            j += 1
           }
+          i += 1
         }
-        i += 1
       }
       k += 1
     }
     acc.toMap
   }
 
-  /** [[decide]] on a column's own values, coded with the model's bank. */
+  /** Each plan's distinct pre-condition edges (its candidates' d_in
+    * indices), and for each the least m of the plan's candidates at it.
+    */
+  private val dInEdges: Array[Array[Int]] = candidates.map(_.map(_.dInIdx).distinct)
+  private val leastM: Array[Array[Double]] =
+    plans.indices.map(k => dInEdges(k).map(e => candidates(k).filter(_.dInIdx == e).map(_.m).min)).toArray
+
+  /** No candidate of plan k can cover a column of `n` values of which
+    * `beyond(i)` are coded above `dInEdges(k)(i)`: more values only shrink
+    * the within count, so this is [[ColumnProfile.covers]]'s comparison
+    * failing for good.
+    */
+  private def dropped(k: Int, beyond: Array[Int], n: Int): Boolean = {
+    val ms = leastM(k)
+    var i = 0
+    while (i < ms.length && (n - beyond(i)).toDouble / n < ms(i)) i += 1
+    i == ms.length
+  }
+
+  /** [[decide]] on a column's own values, coded with the model's bank value
+    * by value. Each plan counts the values coded above each of its d_in
+    * edges and is dropped once [[dropped]] holds: it gets no more distance
+    * calls, and the kernel skips it, since none of its SDCs can cover the
+    * column. The output does not depend on the order of the values.
+    */
   private def decideColumn(values: Seq[String], covered: Sdc => Unit): Map[String, Double] = {
     val arr = values.toArray
-    val dists = bank.distances(arr)
-    val rows = plans.indices.map { k =>
-      val row = new Array[Byte](arr.length)
-      ValueCodes.encode(dists(k), plans(k).thresholds, row, 0)
-      row
+    val n = arr.length
+    val beyond = dInEdges.map(es => new Array[Int](es.length))
+    val live = Array.fill(plans.size)(true)
+    var nLive = plans.size
+    val dists = Array.fill(plans.size)(new Array[Double](n))
+    val rows = Array.fill(plans.size)(new Array[Byte](n))
+    var j = 0
+    while (j < n && nLive > 0) {
+      bank.distancesInto(arr, j, j + 1, live, dists)
+      var k = 0
+      while (k < plans.size) {
+        if (live(k)) {
+          val code = ColumnProfile.bucket(dists(k)(j), plans(k).thresholds)
+          rows(k)(j) = code.toByte
+          val es = dInEdges(k); val b = beyond(k)
+          var moved = false
+          var i = 0
+          while (i < es.length) { if (code > es(i)) { b(i) += 1; moved = true }; i += 1 }
+          if (moved && dropped(k, b, n)) { live(k) = false; nLive -= 1 }
+        }
+        k += 1
+      }
+      j += 1
     }
-    decide(arr, Array.range(0, arr.length), rows, covered)
+    decide(arr, Array.range(0, n), plans.indices.map(k => if (live(k)) rows(k) else null), covered)
   }
 
   /** Predict errors in one column: flagged value -> max confidence. */

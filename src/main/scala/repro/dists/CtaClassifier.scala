@@ -30,10 +30,14 @@ final class CtaClassifier private (
   override def family: String = DomainEval.Cta
 
   /** This classifier alone, the path of every per-value call. */
-  private lazy val alone = new CtaClassifier.Bank(IndexedSeq(this))
+  private lazy val alone = new CtaClassifier.Bank(IndexedSeq(this), Array(0))
 
   /** Classifier similarity score in [0, 1]. */
-  def score(raw: String): Double = alone.scores(Array(raw))(0)(0)
+  def score(raw: String): Double = {
+    val out = Array(new Array[Double](1))
+    alone.scoresInto(Array(raw), 0, 1, Array(true), out)
+    out(0)(0)
+  }
 
   override def distance(v: String): Double = 1.0 - score(v)
 
@@ -74,8 +78,9 @@ object CtaClassifier {
   /** Classifiers scored together: each value's [[Features]] are computed
     * once, and each of its trigrams is looked up once for all of them.
     * Every score, a single classifier's included, is computed here.
+    * Classifier k's scores go to row `rows(k)` of the caller's matrix.
     */
-  private[dists] final class Bank(classifiers: IndexedSeq[CtaClassifier]) {
+  private[dists] final class Bank(classifiers: IndexedSeq[CtaClassifier], rows: Array[Int]) {
 
     /** trigram -> its log-odds under each classifier, [[UnseenLogOdds]]
       * where that classifier never saw it.
@@ -92,12 +97,14 @@ object CtaClassifier {
 
     private val unseen: Array[Double] = Array.fill(classifiers.size)(UnseenLogOdds)
 
-    /** classifiers × values score matrix. */
-    def scores(values: Array[String]): Array[Array[Double]] = {
-      val out = Array.fill(classifiers.size)(new Array[Double](values.length))
+    /** Writes classifier k's score of `values(j)` into `out(rows(k))(j)`,
+      * for every j in [from, until) and every k with `mask(rows(k))`.
+      */
+    def scoresInto(values: Array[String], from: Int, until: Int, mask: Array[Boolean],
+                   out: Array[Array[Double]]): Unit = {
       val sums = new Array[Double](classifiers.size)
-      var j = 0
-      while (j < values.length) {
+      var j = from
+      while (j < until) {
         val f = features(values(j))
         java.util.Arrays.fill(sums, 0.0)
         var g = 0
@@ -108,10 +115,12 @@ object CtaClassifier {
           g += 1
         }
         var k = 0
-        while (k < sums.length) { out(k)(j) = classifiers(k).scoreOf(f, sums(k)); k += 1 }
+        while (k < sums.length) {
+          if (mask(rows(k))) out(rows(k))(j) = classifiers(k).scoreOf(f, sums(k))
+          k += 1
+        }
         j += 1
       }
-      out
     }
   }
 

@@ -54,6 +54,14 @@ object PerValueReference {
     flagged.groupMapReduce(_._1)(_._2)(math.max)
   }
 
+  /** SDCs whose pre-condition holds on `values`, in kernel order (by
+    * evaluator id, d_in and m, ties in model order), as
+    * `SdcModel.explainColumn` lists them.
+    */
+  def coveringSdcs(sdcs: Seq[Sdc], registry: EvalRegistry, values: Seq[String]): Seq[Sdc] =
+    sdcs.sortBy(s => (s.evalId, s.dIn, s.m))
+      .filter(s => covered(dists(registry.byId(s.evalId), values), s.dIn, s.m))
+
   /** A small corpus and a registry with all four families, embedding
     * centroids of both models sampled from the corpus so their candidates
     * cover and trigger on real columns.

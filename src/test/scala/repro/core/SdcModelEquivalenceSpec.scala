@@ -11,7 +11,9 @@ import repro.util.Det
 /** [[SdcModel]] on its plan layout gives what the pre-condition-group layout
   * it replaced gives ([[GroupedSdcModel]]): the same `predictColumn` maps in
   * the same order, the same batch predictions, the same covering SDCs in the
-  * same order, and the same pre-condition count.
+  * same order, and the same pre-condition count. Its single-column pass,
+  * which stops scoring an evaluator once none of its pre-conditions can
+  * hold, gives what [[PerValueReference]] gives in any value order.
   */
 class SdcModelEquivalenceSpec extends SparkSpec {
 
@@ -94,5 +96,36 @@ class SdcModelEquivalenceSpec extends SparkSpec {
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(12L)), prop)
     assert(result.passed, result.status)
     assert(flagged > 100 && covering > 100, s"too little to compare: $flagged flagged, $covering covering")
+  }
+
+  test("predictColumn and explainColumn equal the per-value reference in any value order") {
+    val ref = PerValueReference
+    val reg = ref.mixedRegistry
+    val cands = CandidateGen.enumerate(reg).flatMap(_.candidates)
+    val genSdcs: Gen[IndexedSeq[Sdc]] = for {
+      n      <- Gen.choose(1, 60)
+      picked <- Gen.pick(n, cands)
+    } yield picked.map(c => c.toSdc(0.5 + (c.idx % 50) / 100.0)).toIndexedSeq
+    val genCol: Gen[Seq[String]] = Gen.frequency(
+      1 -> Gen.const(Nil),
+      1 -> genValue.map(Seq(_)),
+      6 -> (for {
+        base  <- Gen.oneOf(ref.corpus.map(_.values))
+        noise <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, genValue))
+      } yield base ++ noise))
+    var covering = 0
+    val prop = Prop.forAll(genSdcs, genCol, Gen.long) { (sdcs, vs, seed) =>
+      val model = new SdcModel(sdcs, reg)
+      Seq(vs, Det.shuffle(seed, vs), vs.reverse).forall { col =>
+        val want = ref.predictColumn(sdcs, reg, col)
+        val explained = model.explainColumn(col)
+        covering += explained.covering.size
+        model.predictColumn(col) == want && explained.flagged == want &&
+          explained.covering == ref.coveringSdcs(sdcs, reg, col)
+      }
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(150).withInitialSeed(Seed(13L)), prop)
+    assert(result.passed, result.status)
+    assert(covering > 100, s"too little to compare: $covering covering")
   }
 }

@@ -5,11 +5,13 @@ import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.{BenchGen, CorpusGen}
 import repro.experiments.Baselines
+import repro.util.Par
 
 /** The driver's passes run on Java parallel streams, which use the
   * `ForkJoinPool` their caller runs in. Training, batch prediction and a
-  * baseline's predictions must not depend on that pool's thread count.
-  * No SparkSession is made: training and batch prediction use none.
+  * baseline's predictions must not depend on that pool's thread count, and
+  * one model's single-column calls must not depend on how many threads share
+  * it. No SparkSession is made: training and batch prediction use none.
   */
 class ThreadCountSpec extends AnyFunSuite {
 
@@ -56,6 +58,25 @@ class ThreadCountSpec extends AnyFunSuite {
       val out = outputs(n)
       val differing = one.keys.filter(k => out(k) != one(k))
       assert(differing.isEmpty, s"at $n threads, differ from 1 thread: ${differing.mkString(", ")}")
+    }
+  }
+
+  /** `predictColumn` and `explainColumn` of `model` on `vs`, doubles as bits. */
+  private def singleColumn(model: SdcModel)(vs: Seq[String]): Seq[Any] = {
+    val e = model.explainColumn(vs)
+    Seq(model.predictColumn(vs).toSeq.map { case (v, c) => (v, bits(c)) },
+      e.covering, e.flagged.toSeq.map { case (v, c) => (v, bits(c)) })
+  }
+
+  test("single-column calls on one shared model are bit-equal to a sequential run at 1, 2, 3 and 7 threads") {
+    val m = AutoTest.train(null, corpus, cfg)
+    val models = Seq(m.allConstraintsModel, m.fineModel)
+    val cols = bench.map(_.values)
+    assert(cols.exists(vs => m.fineModel.explainColumn(vs).covering.nonEmpty), "no column is covered")
+    val sequential = models.map(model => cols.map(singleColumn(model)))
+    Seq(1, 2, 3, 7).foreach { n =>
+      val parallel = inPool(n)(models.map(model => Par.flatMapInOrder(cols)(vs => Seq(singleColumn(model)(vs)))))
+      assert(parallel == sequential, s"at $n threads")
     }
   }
 }
