@@ -60,10 +60,13 @@ object AutoTest {
     lazy val coarseModel: SdcModel = new SdcModel(coarse.selected.map(_.sdc), registry)
     lazy val fineModel: SdcModel = new SdcModel(fine.selected.map(_.sdc), registry)
 
+    /** `detections`, packed and sorted once for every `reselect`. */
+    private lazy val packedDetections: Array[Long] = Selection.pack(detections)
+
     /** Re-run selection with different budgets without re-assessing. */
     def reselect(bSize: Int = config.bSize, bFpr: Double = config.bFpr,
                  delta: Option[Double]): Selection.SelectionResult =
-      Selection.select(assessed, detections, nSyn, config.selection(bSize, bFpr, delta))
+      Selection.select(assessed, packedDetections, config.selection(bSize, bFpr, delta))
 
     /** Re-run the statistical gates with different flags (Table 8's Wilson /
       * Cohen's-h ablations) from the stored contingency counts.
@@ -139,11 +142,12 @@ object AutoTest {
     }
 
     // ---- CSS / FSS selection ---------------------------------------------
+    val packed = Selection.pack(detections)
     val (coarse, tCoarse) = timed {
-      Selection.select(assessed0, detections, cfg.nSyn, cfg.selection(cfg.bSize, cfg.bFpr, None))
+      Selection.select(assessed0, packed, cfg.selection(cfg.bSize, cfg.bFpr, None))
     }
     val (fine, tFine) = timed {
-      Selection.select(assessed0, detections, cfg.nSyn, cfg.selection(cfg.bSize, cfg.bFpr, Some(cfg.delta)))
+      Selection.select(assessed0, packed, cfg.selection(cfg.bSize, cfg.bFpr, Some(cfg.delta)))
     }
 
     TrainedModel(registry, assessed0, assessedPlans, detections, cfg.nSyn, coarse, fine,

@@ -106,18 +106,28 @@ object Selection {
   def select(candidates: IndexedSeq[AssessedCandidate],
              detections: Seq[(Int, Int)],
              nSyn: Int,
-             cfg: SelectionConfig): SelectionResult = {
+             cfg: SelectionConfig): SelectionResult =
+    select(candidates, pack(detections), cfg)
+
+  /** The detection pairs as one sorted array of (syn << 32 | candidate). */
+  private[core] def pack(detections: Seq[(Int, Int)]): Array[Long] = {
+    val pairs = new Array[Long](detections.size)
+    var p = 0
+    detections.foreach { case (s, c) => pairs(p) = (s.toLong << 32) | (c & 0xffffffffL); p += 1 }
+    java.util.Arrays.sort(pairs)
+    pairs
+  }
+
+  /** `select` on detections already packed and sorted by `pack`. */
+  private[core] def select(candidates: IndexedSeq[AssessedCandidate],
+                           pairs: Array[Long],
+                           cfg: SelectionConfig): SelectionResult = {
     val conf = Array.tabulate(candidates.size)(candidates(_).sdc.confidence)
     val fprOf = Array.tabulate(candidates.size)(candidates(_).fpr)
 
     // --- K_j construction (FSS filters to near-best confidence), and ------
     // --- merging of synthetic columns with identical detector sets --------
-    // One sorted array of (syn << 32 | candidate): each K_j is a run of it,
-    // sorted and, skipping repeats, distinct.
-    val pairs = new Array[Long](detections.size)
-    var p = 0
-    detections.foreach { case (s, c) => pairs(p) = (s.toLong << 32) | (c & 0xffffffffL); p += 1 }
-    java.util.Arrays.sort(pairs)
+    // Each K_j is a run of `pairs`, sorted and, skipping repeats, distinct.
     val kIndex = mutable.HashMap.empty[IdSet, Int]
     val kKeys = ArrayBuffer.empty[IdSet]
     val kWeights = ArrayBuffer.empty[Int]
@@ -231,16 +241,19 @@ object Selection {
       rows += (liveK(g).map(i => (i, -1.0)) :+ (nx + g, 1.0))
       rhs += 0.0
     }
-    // (18 relaxed) upper bounds
-    (0 until n).foreach { j => rows += Array((j, 1.0)); rhs += 1.0 }
-
-    val lp = Simplex.maximize(obj, rows.result().toArray, rhs.result().toArray)
+    // (18 relaxed) 0 <= x_i, y_g <= 1 are the solver's bounds, not rows.
+    val lp = Simplex.maximize(obj, rows.result().toArray, rhs.result().toArray, Array.fill(n)(1.0))
 
     // --- randomized rounding (Algorithm 1 lines 4-7, best-of-trials) ------
     val xFrac = lp.x.take(nx)
     def evalPick(picked: Array[Boolean]): (Double, Boolean) = {
       var covered = 0.0
-      for (g <- 0 until ng) if (liveK(g).exists(picked(_))) covered += liveW(g)
+      for (g <- 0 until ng) {
+        val k = liveK(g)
+        var i = 0
+        while (i < k.length && !picked(k(i))) i += 1
+        if (i < k.length) covered += liveW(g)
+      }
       var size = 0
       var fprSum = 0.0 // summed in index order
       for (i <- 0 until nx) if (picked(i)) { size += 1; fprSum += fpr(i) }

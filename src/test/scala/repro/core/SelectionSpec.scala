@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Assessment.{AssessedCandidate, ContingencyCounts}
 
@@ -92,5 +94,35 @@ class SelectionSpec extends AnyFunSuite {
     val dets = for (j <- 0 until 20; i <- 0 until 6 if j % (i + 1) == 0) yield (j, i)
     val r = Selection.select(cands, dets, 20, Selection.SelectionConfig(bSize = 2, bFpr = 1.0))
     assert(r.roundedObjective <= r.lpObjective + 1e-6)
+  }
+
+  /** The best objective of any candidate subset within both budgets: the
+    * number of synthetic columns whose K_j (FSS: near-best detectors only)
+    * meets it. FPRs are summed in index order with `Selection`'s 1e-12
+    * slack.
+    */
+  private def bruteForceIlp(c: SelectionEquivalenceSpec.Case): Double = {
+    val conf = c.candidates.map(_.sdc.confidence)
+    val ks = c.detections.groupBy(_._1).values.map(_.map(_._2).distinct).map { k =>
+      c.cfg.delta.fold(k)(d => k.filter(i => conf(i) >= k.map(conf).max - d))
+    }.map(_.foldLeft(0)((mask, i) => mask | 1 << i)).toSeq
+    (0 until 1 << c.candidates.size).iterator.filter { pick =>
+      val picked = c.candidates.indices.filter(i => (pick >> i & 1) == 1)
+      picked.size <= c.cfg.bSize && picked.map(c.candidates(_).fpr).sum <= c.cfg.bFpr + 1e-12
+    }.map(pick => ks.count(k => (k & pick) != 0).toDouble).max
+  }
+
+  test("LP >= brute-force ILP >= rounded, up to 12 candidates") {
+    val gen = SelectionEquivalenceSpec.genCase
+      .suchThat(_.candidates.size <= 12)
+      .map(c => c.copy(cfg = c.cfg.copy(maxLpCandidates = 2500)))
+    val prop = Prop.forAll(gen) { c =>
+      val r = Selection.select(c.candidates, c.detections, c.nSyn, c.cfg)
+      val ilp = bruteForceIlp(c)
+      Prop(r.lpObjective >= ilp - 1e-9 * math.max(1.0, ilp) && ilp >= r.roundedObjective) :|
+        s"LP ${r.lpObjective}, ILP $ilp, rounded ${r.roundedObjective}, ${c.cfg}"
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(47L)), prop)
+    assert(res.passed, res.status)
   }
 }

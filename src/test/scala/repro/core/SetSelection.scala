@@ -2,7 +2,7 @@ package repro.core
 
 import repro.core.Assessment.AssessedCandidate
 import repro.core.Selection.{SelectionConfig, SelectionResult}
-import repro.lp.Simplex
+import repro.lp.LpInstance
 import repro.util.Det
 
 /** Reference for `Selection.select`: its reduction written on Scala
@@ -19,7 +19,27 @@ object SetSelection {
   def select(candidates: IndexedSeq[AssessedCandidate],
              detections: Seq[(Int, Int)],
              nSyn: Int,
-             cfg: SelectionConfig): SelectionResult = {
+             cfg: SelectionConfig): SelectionResult =
+    reduce(candidates, detections, cfg) match {
+      case None => SelectionResult(IndexedSeq.empty, 0.0, 0.0, 0)
+      case Some(r) => round(candidates, cfg, r)
+    }
+
+  /** The LP (Eq 14-18 with integrality dropped) that `select` solves for
+    * `cfg`, or None when no synthetic column is detected.
+    */
+  def lp(candidates: IndexedSeq[AssessedCandidate], detections: Seq[(Int, Int)],
+         cfg: SelectionConfig): Option[LpInstance] =
+    reduce(candidates, detections, cfg).map(_.lp)
+
+  /** The LP's candidates (positions in `candidates`), its coverage groups
+    * (K_g as LP positions, weight) and the LP.
+    */
+  private final case class Reduced(lpCands: IndexedSeq[Int], liveGroups: IndexedSeq[(IndexedSeq[Int], Int)],
+                                   lp: LpInstance)
+
+  private def reduce(candidates: IndexedSeq[AssessedCandidate], detections: Seq[(Int, Int)],
+                     cfg: SelectionConfig): Option[Reduced] = {
 
     // --- K_j construction (FSS filters to near-best confidence) -----------
     val bySyn: Map[Int, IndexedSeq[Int]] =
@@ -42,7 +62,7 @@ object SetSelection {
       .sortBy { case (k, w) => (-w, k.min) }
 
     if (groups.isEmpty)
-      return SelectionResult(IndexedSeq.empty, 0.0, 0.0, 0)
+      return None
 
     // --- candidate dedup by detector signature ----------------------------
     val usedCands: IndexedSeq[Int] = groups.flatMap(_._1).distinct.sorted
@@ -86,11 +106,14 @@ object SetSelection {
       rows += (k.map(i => (i, -1.0)) :+ (nx + g, 1.0)).toArray
       rhs += 0.0
     }
-    // (18 relaxed) upper bounds
-    (0 until n).foreach { j => rows += Array((j, 1.0)); rhs += 1.0 }
+    // (18 relaxed) 0 <= x_i, y_g <= 1 are the solver's bounds, not rows.
+    Some(Reduced(lpCands, liveGroups, LpInstance(obj, rows.result().toArray, rhs.result().toArray, Array.fill(n)(1.0))))
+  }
 
-    val lp = Simplex.maximize(obj, rows.result().toArray, rhs.result().toArray)
-
+  private def round(candidates: IndexedSeq[AssessedCandidate], cfg: SelectionConfig, r: Reduced): SelectionResult = {
+    import r.{lpCands, liveGroups}
+    val nx = lpCands.size
+    val lp = r.lp.solve()
     // --- randomized rounding (Algorithm 1 lines 4-7, best-of-trials) ------
     val xFrac = lp.x.take(nx)
     def evalPick(picked: Array[Boolean]): (Double, Boolean) = {

@@ -1,8 +1,11 @@
 package repro.lp
 
-/** Reference for `Simplex.maximize`: the same solver with a full-row pivot
-  * update. `SimplexSpec` checks that the two give the same pivots, iteration
-  * counts and result bits.
+/** Reference for `Simplex.maximize`: the explicit-bound solver it replaced,
+  * with a full-row pivot update. It solves A x <= b, x >= 0 with every
+  * bound written as a row (`LpInstance.boundRows`), prices by Dantzig's rule
+  * with a switch to Bland's, and returns its last vertex unchecked, which
+  * can break rows. `SimplexSpec` requires `Simplex`'s objective to equal its
+  * own wherever it returns a feasible point.
   */
 object DenseSimplex {
   import Simplex.Result

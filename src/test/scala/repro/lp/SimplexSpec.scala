@@ -4,19 +4,17 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
-import scala.util.Try
+import scala.util.{Failure, Success, Try}
 
 object SimplexSpec {
-  final case class Lp(c: Array[Double], rows: Array[Array[(Int, Double)]], b: Array[Double]) {
-    override def toString: String =
-      s"Lp(c=${c.mkString(",")}; rows=${rows.map(_.mkString(" ")).mkString(" | ")}; b=${b.mkString(",")})"
-  }
+
+  private val Inf = Double.PositiveInfinity
 
   /** The CSS-LP shape of `Selection`: x_0..x_{nx-1}, y_0..y_{ng-1}; a size
-    * row, an FPR row, one coverage row per group and a unit bound per
-    * variable. Weights and FPRs repeat, so the LPs are degenerate.
+    * row, an FPR row, one coverage row per group, and a unit upper bound
+    * per variable. Weights and FPRs repeat, so the LPs are degenerate.
     */
-  val genCssLp: Gen[Lp] = for {
+  val genCssLp: Gen[LpInstance] = for {
     nx     <- Gen.choose(1, 14)
     ng     <- Gen.choose(1, 18)
     groups <- Gen.listOfN(ng, Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nx - 1)))
@@ -28,39 +26,70 @@ object SimplexSpec {
     val n = nx + ng
     val c = Array.tabulate(n)(j => if (j < nx) 0.0 else w(j - nx).toDouble)
     val cover = groups.zipWithIndex.map { case (k, g) => k.toArray.sorted.map(i => (i, -1.0)) :+ (nx + g, 1.0) }
-    val rows = Array(Array.tabulate(nx)(i => (i, 1.0)), fpr.toArray.zipWithIndex.map(_.swap)) ++
-      cover ++ Array.tabulate(n)(j => Array((j, 1.0)))
-    Lp(c, rows, Array(bSize.toDouble, bFpr) ++ Array.fill(ng)(0.0) ++ Array.fill(n)(1.0))
+    val rows = Array(Array.tabulate(nx)(i => (i, 1.0)), fpr.toArray.zipWithIndex.map(_.swap)) ++ cover
+    LpInstance(c, rows, Array(bSize.toDouble, bFpr) ++ Array.fill(ng)(0.0), Array.fill(n)(1.0))
   }
 
   /** General LPs with b >= 0: sparse rows of mixed sign, zero right-hand
     * sides, and no upper bounds, so some are unbounded.
     */
-  val genLp: Gen[Lp] = for {
+  val genLp: Gen[LpInstance] = for {
     n    <- Gen.choose(1, 12)
     m    <- Gen.choose(1, 12)
     c    <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(0.0), 3 -> Gen.choose(-1.0, 3.0)))
     rows <- Gen.listOfN(m, Gen.listOf(Gen.zip(Gen.choose(0, n - 1),
               Gen.frequency(2 -> Gen.oneOf(1.0, -1.0, 2.0), 3 -> Gen.choose(-1.0, 3.0)))))
     b    <- Gen.listOfN(m, Gen.frequency(1 -> Gen.const(0.0), 3 -> Gen.choose(0.0, 10.0)))
-  } yield Lp(c.toArray, rows.map(_.toArray).toArray, b.toArray)
+  } yield LpInstance(c.toArray, rows.map(_.toArray).toArray, b.toArray, Array.fill(n)(Inf))
 
-  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+  /** `genLp` with some upper bounds, zero and fractional ones included. */
+  val genBoundedLp: Gen[LpInstance] = for {
+    lp    <- genLp
+    upper <- Gen.listOfN(lp.n, Gen.frequency(2 -> Gen.const(Inf), 1 -> Gen.oneOf(0.0, 1.0, 2.5),
+               2 -> Gen.choose(0.0, 4.0)))
+  } yield lp.copy(upper = upper.toArray)
 
-  /** The sparse and the dense solver agree: the same iteration count, the
-    * same objective and x bits, or the same exception message.
+  def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(b))
+
+  private def isUnbounded(t: Try[Simplex.Result]): Boolean = t match {
+    case Failure(e: IllegalStateException) => e.getMessage.contains("unbounded")
+    case _ => false
+  }
+
+  /** `Simplex` returns a point that meets every row and bound, with the
+    * objective `DenseSimplex` reaches wherever that one's point is
+    * feasible; it throws only on an LP that `DenseSimplex` also finds
+    * unbounded, and then says so.
     */
-  def agree(lp: Lp, maxIter: Int = 200000): Prop = {
-    val sparse = Try(Simplex.maximize(lp.c, lp.rows, lp.b, maxIter))
-    val dense = Try(DenseSimplex.maximize(lp.c, lp.rows, lp.b, maxIter))
-    val ok = (sparse.toEither, dense.toEither) match {
-      case (Right(s), Right(d)) =>
-        s.iterations == d.iterations && bits(s.objective) == bits(d.objective) &&
-          s.x.length == d.x.length && s.x.indices.forall(j => bits(s.x(j)) == bits(d.x(j)))
-      case (Left(s), Left(d)) => s.getClass == d.getClass && s.getMessage == d.getMessage
-      case _                  => false
+  def sound(lp: LpInstance): Prop = {
+    val got = Try(lp.solve())
+    val (rows, b) = lp.boundRows
+    val dense = Try(DenseSimplex.maximize(lp.c, rows, b))
+    val ok = got match {
+      case Success(r) =>
+        lp.worstViolation(r.x) <= 1e-9 &&
+          close(r.objective, lp.c.indices.map(j => lp.c(j) * r.x(j)).sum) &&
+          !isUnbounded(dense) &&
+          dense.toOption.filter(d => lp.worstViolation(d.x) <= 1e-9).forall(d => close(r.objective, d.objective))
+      case Failure(_) => isUnbounded(got) && isUnbounded(dense)
     }
-    Prop(ok) :| s"$lp\nsparse $sparse\ndense $dense"
+    Prop(ok) :| s"$lp\nsimplex $got\ndense $dense"
+  }
+
+  /** With `maxIter` = k the solver returns what the unlimited solve returns
+    * if that took at most k iterations, and otherwise throws saying so.
+    */
+  def capped(lp: LpInstance, k: Int): Prop = {
+    val full = lp.solve()
+    val ok = Try(lp.solve(k)) match {
+      case Success(r) =>
+        full.iterations <= k && r.iterations == full.iterations && r.objective == full.objective &&
+          r.x.sameElements(full.x)
+      case Failure(e: IllegalStateException) =>
+        full.iterations > k && e.getMessage == s"simplex: no optimum after $k iterations (n=${lp.n} variables, m=${lp.m} rows)"
+      case Failure(_) => false
+    }
+    Prop(ok) :| s"$lp\nmaxIter $k, unlimited: ${full.iterations} iterations"
   }
 
   def check(prop: Prop, seed: Long): Check.Result =
@@ -71,65 +100,89 @@ class SimplexSpec extends AnyFunSuite {
   import SimplexSpec._
 
   private def approx(a: Double, b: Double, eps: Double = 1e-6): Boolean = math.abs(a - b) < eps
+  private def free(n: Int): Array[Double] = Array.fill(n)(Double.PositiveInfinity)
+
+  private val textbook = LpInstance( // max 3x + 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18 → 36 at (2, 6)
+    Array(3.0, 5.0), Array(Array((0, 1.0)), Array((1, 2.0)), Array((0, 3.0), (1, 2.0))),
+    Array(4.0, 12.0, 18.0), free(2))
 
   test("trivial 1-var LP: max x s.t. x <= 3") {
-    val r = Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(3.0))
+    val r = Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(3.0), free(1))
     assert(approx(r.objective, 3.0))
     assert(approx(r.x(0), 3.0))
   }
 
   test("textbook 2-var LP") {
-    // max 3x + 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18 → opt 36 at (2, 6)
-    val r = Simplex.maximize(
-      Array(3.0, 5.0),
-      Array(Array((0, 1.0)), Array((1, 2.0)), Array((0, 3.0), (1, 2.0))),
-      Array(4.0, 12.0, 18.0))
+    val r = textbook.solve()
     assert(approx(r.objective, 36.0))
     assert(approx(r.x(0), 2.0))
     assert(approx(r.x(1), 6.0))
+  }
+
+  test("the textbook LP with x <= 4 as a bound instead of a row") {
+    val r = Simplex.maximize(Array(3.0, 5.0), Array(Array((1, 2.0)), Array((0, 3.0), (1, 2.0))),
+      Array(12.0, 18.0), Array(4.0, Double.PositiveInfinity))
+    assert(approx(r.objective, 36.0) && approx(r.x(0), 2.0) && approx(r.x(1), 6.0))
+  }
+
+  test("a variable whose bound binds flips to it without a pivot") {
+    // max x + y s.t. x + y <= 5, x <= 1, y <= 1: two bound flips, no pivot
+    val r = Simplex.maximize(Array(1.0, 1.0), Array(Array((0, 1.0), (1, 1.0))), Array(5.0), Array(1.0, 1.0))
+    assert(approx(r.objective, 2.0) && r.x.sameElements(Array(1.0, 1.0)) && r.iterations == 2)
   }
 
   test("degenerate LP with redundant constraints still solves") {
     val r = Simplex.maximize(
       Array(1.0, 1.0),
       Array(Array((0, 1.0), (1, 1.0)), Array((0, 1.0), (1, 1.0)), Array((0, 1.0))),
-      Array(2.0, 2.0, 1.0))
+      Array(2.0, 2.0, 1.0), free(2))
     assert(approx(r.objective, 2.0))
   }
 
   test("zero objective returns zero") {
-    val r = Simplex.maximize(Array(0.0, 0.0), Array(Array((0, 1.0))), Array(5.0))
+    val r = Simplex.maximize(Array(0.0, 0.0), Array(Array((0, 1.0))), Array(5.0), free(2))
     assert(approx(r.objective, 0.0))
   }
 
   test("unbounded LP throws") {
     intercept[IllegalStateException] {
-      Simplex.maximize(Array(1.0), Array(Array((0, -1.0))), Array(1.0))
+      Simplex.maximize(Array(1.0), Array(Array((0, -1.0))), Array(1.0), free(1))
     }
+  }
+
+  test("an upper bound makes that LP bounded") {
+    val r = Simplex.maximize(Array(1.0), Array(Array((0, -1.0))), Array(1.0), Array(2.5))
+    assert(r.objective == 2.5 && r.x(0) == 2.5)
   }
 
   test("an LP that needs more than maxIter pivots throws") {
     // the textbook LP takes two pivots to reach its optimum
-    val e = intercept[IllegalStateException] {
-      Simplex.maximize(
-        Array(3.0, 5.0),
-        Array(Array((0, 1.0)), Array((1, 2.0)), Array((0, 3.0), (1, 2.0))),
-        Array(4.0, 12.0, 18.0),
-        maxIter = 1)
-    }
+    val e = intercept[IllegalStateException](textbook.solve(maxIter = 1))
     assert(e.getMessage.contains("1 iterations") && e.getMessage.contains("n=2") && e.getMessage.contains("m=3"))
     // ... and is solved when allowed exactly those two
-    val r = Simplex.maximize(
-      Array(3.0, 5.0),
-      Array(Array((0, 1.0)), Array((1, 2.0)), Array((0, 3.0), (1, 2.0))),
-      Array(4.0, 12.0, 18.0),
-      maxIter = 2)
+    val r = textbook.solve(maxIter = 2)
     assert(approx(r.objective, 36.0) && r.iterations == 2)
   }
 
   test("rejects negative rhs") {
     intercept[IllegalArgumentException] {
-      Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(-1.0))
+      Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(-1.0), free(1))
+    }
+  }
+
+  test("a NaN objective coefficient fails the certificate") {
+    val e = intercept[IllegalStateException] {
+      Simplex.maximize(Array(Double.NaN, 1.0), Array(Array((0, 1.0), (1, 1.0))), Array(1.0), free(2))
+    }
+    assert(e.getMessage.contains("dual feasibility"), e.getMessage)
+  }
+
+  test("rejects negative or missing upper bounds") {
+    intercept[IllegalArgumentException] {
+      Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(1.0), Array(-1.0))
+    }
+    intercept[IllegalArgumentException] {
+      Simplex.maximize(Array(1.0), Array(Array((0, 1.0))), Array(1.0), Array.empty[Double])
     }
   }
 
@@ -141,9 +194,8 @@ class SimplexSpec extends AnyFunSuite {
       Array(
         Array((0, 1.0), (1, 1.0)),
         Array((2, 1.0), (0, -1.0)),
-        Array((3, 1.0), (1, -1.0)),
-        Array((0, 1.0)), Array((1, 1.0)), Array((2, 1.0)), Array((3, 1.0))),
-      Array(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0))
+        Array((3, 1.0), (1, -1.0))),
+      Array(1.0, 0.0, 0.0), Array.fill(4)(1.0))
     assert(approx(r.objective, 1.0))
     assert(approx(r.x(0) + r.x(1), 1.0))
   }
@@ -155,7 +207,7 @@ class SimplexSpec extends AnyFunSuite {
       Array((0, 2.0), (1, 1.0)),
       Array((1, 1.0), (2, 3.0)))
     val b = Array(10.0, 8.0, 9.0)
-    val r = Simplex.maximize(c, rows, b)
+    val r = Simplex.maximize(c, rows, b, free(3))
     rows.zip(b).foreach { case (row, bi) =>
       val lhs = row.map { case (j, v) => v * r.x(j) }.sum
       assert(lhs <= bi + 1e-6, s"violated: $lhs > $bi")
@@ -169,28 +221,51 @@ class SimplexSpec extends AnyFunSuite {
     val c = Array.fill(n)(rng.nextDouble())
     val rows = Array.tabulate(m)(_ => Array.tabulate(n)(j => (j, rng.nextDouble() * 0.2)))
     val b = Array.fill(m)(1.0 + rng.nextDouble())
-    val r = Simplex.maximize(c, rows, b)
+    val r = Simplex.maximize(c, rows, b, free(n))
     assert(r.objective > 0)
   }
 
   test("duplicate sparse entries in a row are summed") {
-    val r = Simplex.maximize(Array(1.0), Array(Array((0, 0.5), (0, 0.5))), Array(2.0))
+    val r = Simplex.maximize(Array(1.0), Array(Array((0, 0.5), (0, 0.5))), Array(2.0), free(1))
     assert(approx(r.objective, 2.0))
   }
 
-  test("the sparse pivot equals the dense pivot on CSS-shaped LPs, bit for bit") {
-    val r = check(Prop.forAll(genCssLp)(agree(_)), 31L)
+  // CSS LPs written by `repro.core.CssLpDump`, with their certified optima.
+  // The explicit-bound solver diverged on the first, and on the reference
+  // ones returned points that break rows (seed 42: x_32 = 1.000139).
+  Seq(
+    "css-600-reseeded" -> 962.1476510067114,
+    "css-reference-seed42" -> 2104.8827838809084,
+    "css-reference-seed43" -> 2199.3408304498266,
+  ).foreach { case (name, optimum) =>
+    test(s"dumped LP $name certifies within seconds") {
+      val lp = LpInstance.resource(name)
+      val t0 = System.nanoTime()
+      val r = lp.solve()
+      val seconds = (System.nanoTime() - t0) / 1e9
+      assert(seconds < 30.0, s"$seconds s")
+      assert(lp.worstViolation(r.x) <= 1e-9)
+      assert(close(r.objective, optimum), s"objective ${r.objective}, recorded $optimum")
+    }
+  }
+
+  test("CSS-shaped LPs certify at DenseSimplex's objective") {
+    val r = check(Prop.forAll(genCssLp)(sound), 31L)
     assert(r.passed, r.status)
   }
 
-  test("the sparse pivot equals the dense pivot on general LPs, unbounded ones included") {
-    val r = check(Prop.forAll(genLp)(agree(_)), 37L)
+  test("general LPs certify or are unbounded for both solvers") {
+    val r = check(Prop.forAll(genLp)(sound), 37L)
     assert(r.passed, r.status)
   }
 
-  test("the sparse and the dense pivot fail alike when maxIter runs out") {
-    val prop = Prop.forAll(genCssLp, Gen.choose(0, 6))((lp, maxIter) => agree(lp, maxIter))
-    val r = check(prop, 41L)
+  test("LPs with upper bounds certify or are unbounded for both") {
+    val r = check(Prop.forAll(genBoundedLp)(sound), 43L)
+    assert(r.passed, r.status)
+  }
+
+  test("maxIter: the unlimited result, or a throw naming the cap") {
+    val r = check(Prop.forAll(genCssLp, Gen.choose(0, 6))(capped), 41L)
     assert(r.passed, r.status)
   }
 }
