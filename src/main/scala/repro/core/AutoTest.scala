@@ -60,7 +60,7 @@ object AutoTest {
     lazy val coarseModel: SdcModel = new SdcModel(coarse.selected.map(_.sdc), registry)
     lazy val fineModel: SdcModel = new SdcModel(fine.selected.map(_.sdc), registry)
 
-    /** `detections`, packed and sorted once for every `reselect`. */
+    /** `detections`, packed and sorted once for every `reselect` and `selectSubset`. */
     private lazy val packedDetections: Array[Long] = Selection.pack(detections)
 
     /** Re-run selection with different budgets without re-assessing. */
@@ -85,8 +85,9 @@ object AutoTest {
       assessed.indices.foreach { i =>
         if (keep(assessed(i))) { kept += assessed(i); remap(i) = n; n += 1 } else remap(i) = -1
       }
-      val dets = detections.collect { case (s, c) if remap(c) >= 0 => (s, remap(c)) }
-      Selection.select(kept.result(), dets, nSyn, config.selection(config.bSize, config.bFpr, delta))
+      // remap is increasing on the kept candidates, so the pairs stay sorted.
+      val pairs = packedDetections.collect { case p if remap(p.toInt) >= 0 => p & ~0xffffffffL | remap(p.toInt) }
+      Selection.select(kept.result(), pairs, config.selection(config.bSize, config.bFpr, delta))
     }
   }
 

@@ -13,8 +13,8 @@ package repro.core
   * A value enters the histogram as its edge-bucket code
   * ([[ColumnProfile.bucket]]). Since `d > edges(k)` holds exactly when
   * `bucket(d) > k`, the code is all Definition 2 needs of a distance: the
-  * corpus passes and prediction count codes looked up by value id
-  * ([[ColumnProfile.fromCodes]]).
+  * corpus passes count codes looked up by value id, and prediction a
+  * column's own codes ([[ColumnProfile.fromCodes]]).
   */
 final class ColumnProfile private (cumulative: Array[Int]) {
 
@@ -63,6 +63,16 @@ object ColumnProfile {
     val c = new Array[Int](nEdges + 1)
     var i = 0
     while (i < ids.length) { c(codes(ids(i))) += 1; i += 1 }
+    var b = 1
+    while (b < c.length) { c(b) += c(b - 1); b += 1 }
+    new ColumnProfile(c)
+  }
+
+  /** Profile of a column whose values' codes at `nEdges` edges are `codes`. */
+  def fromCodes(codes: Array[Byte], nEdges: Int): ColumnProfile = {
+    val c = new Array[Int](nEdges + 1)
+    var i = 0
+    while (i < codes.length) { c(codes(i)) += 1; i += 1 }
     var b = 1
     while (b < c.length) { c(b) += c(b - 1); b += 1 }
     new ColumnProfile(c)

@@ -17,27 +17,24 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   * ([[CandidateGen.plansFor]]), in kernel order: by evaluator id, then
   * pre-condition (d_in, m), then model order. Each evaluator's edges are the
   * sorted, distinct d_in and d_out of its SDCs, so a value's edge-bucket code
-  * decides both conditions (DESIGN §5). Per column, each evaluator is
+  * decides both conditions (DESIGN §5). A column is scored value by value
+  * with the model's own [[EvalBank]], and an evaluator is scored no more once
+  * none of its pre-conditions can hold on the column. Each evaluator left is
   * profiled once ([[ColumnProfile]]), so every pre-condition is an O(1)
-  * lookup however many SDCs share it (the Appendix B.2 dedup). One kernel
-  * decides a column from codes, whether [[predictColumn]] and
-  * [[explainColumn]] compute them with the model's own [[EvalBank]] or
-  * [[Predictor.predict]] looks them up in a batch's [[ValueCodes]]. A
-  * single column is scored value by value, and an evaluator is scored no
-  * more once none of its pre-conditions can hold on the column.
+  * lookup however many SDCs share it (the Appendix B.2 dedup).
+  * [[predictColumn]], [[explainColumn]] and, per column,
+  * [[Predictor.predict]] all run this one pass.
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
   /** The SDCs in kernel order; candidate `idx` indexes it. */
   private val ordered: IndexedSeq[Sdc] = sdcs.sortBy(s => (s.evalId, s.dIn, s.m))
 
-  private[core] val plans: IndexedSeq[EvalPlan] =
+  private val plans: IndexedSeq[EvalPlan] =
     CandidateGen.plansFor(ordered, registry)((_, ss) => ss.flatMap(s => Seq(s.dIn, s.dOut)).distinct.sorted.toArray)
   plans.foreach(p => ValueCodes.requireByteCodes(p.eval, p.thresholds.length))
 
-  /** Built on the first single-column call: batch prediction codes its
-    * values with the bank of its [[ValueCodes]] pass instead.
-    */
+  /** Built on the first prediction: a model only counted (`nPreConditions`) never builds it. */
   private lazy val bank = new EvalBank(plans.map(_.eval))
 
   def size: Int = sdcs.size
@@ -47,49 +44,6 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
   /** Each plan's candidates, for the kernel's loop. */
   private val candidates: Array[Array[Candidate]] = plans.map(_.candidates.toArray).toArray
-
-  /** The prediction kernel: flagged value -> max confidence over the SDCs
-    * that trigger on it, for the column `values` whose ids in `rows(k)`, the
-    * codes of plan k, are `ids`. A null `rows(k)` marks a plan none of whose
-    * pre-conditions holds on the column, and the plan is skipped. Each SDC
-    * whose pre-condition holds is passed to `covered`, in kernel order. SDCs
-    * that share a pre-condition are adjacent, so it is looked up once for
-    * them.
-    */
-  private[core] def decide(values: Array[String], ids: Array[Int], rows: IndexedSeq[Array[Byte]],
-                           covered: Sdc => Unit): Map[String, Double] = {
-    val acc = scala.collection.mutable.Map.empty[String, Double]
-    var k = 0
-    while (k < candidates.length) {
-      val cands = candidates(k)
-      val row = rows(k)
-      if (row != null) {
-        val profile = ColumnProfile.fromCodes(row, ids, plans(k).thresholds.length)
-        var holds = false
-        var i = 0
-        while (i < cands.length) {
-          val c = cands(i)
-          if (i == 0 || c.dInIdx != cands(i - 1).dInIdx || c.m != cands(i - 1).m) holds = profile.covers(c.dInIdx, c.m)
-          if (holds) {
-            val sdc = ordered(c.idx)
-            covered(sdc)
-            val conf = sdc.confidence
-            var j = 0
-            while (j < ids.length) {
-              if (row(ids(j)) > c.dOutIdx) {
-                val v = values(j)
-                if (acc.getOrElse(v, -1.0) < conf) acc(v) = conf
-              }
-              j += 1
-            }
-          }
-          i += 1
-        }
-      }
-      k += 1
-    }
-    acc.toMap
-  }
 
   /** Each plan's distinct pre-condition edges (its candidates' d_in
     * indices), and for each the least m of the plan's candidates at it.
@@ -110,11 +64,17 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
     i == ms.length
   }
 
-  /** [[decide]] on a column's own values, coded with the model's bank value
-    * by value. Each plan counts the values coded above each of its d_in
-    * edges and is dropped once [[dropped]] holds: it gets no more distance
-    * calls, and the kernel skips it, since none of its SDCs can cover the
-    * column. The output does not depend on the order of the values.
+  /** The prediction kernel: flagged value -> max confidence over the SDCs
+    * that trigger on the column `values`.
+    *
+    * The values are coded with the model's bank value by value. Each plan
+    * counts the values coded above each of its d_in edges and is dropped
+    * once [[dropped]] holds: it gets no more distance calls, and none of its
+    * SDCs can cover the column. Each plan left is profiled from its codes,
+    * and each of its SDCs whose pre-condition holds is passed to `covered`,
+    * in kernel order; SDCs that share a pre-condition are adjacent, so it is
+    * looked up once for them. The output does not depend on the order of
+    * the values.
     */
   private def decideColumn(values: Seq[String], covered: Sdc => Unit): Map[String, Double] = {
     val arr = values.toArray
@@ -142,7 +102,34 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
       }
       j += 1
     }
-    decide(arr, Array.range(0, n), plans.indices.map(k => if (live(k)) rows(k) else null), covered)
+    val acc = scala.collection.mutable.Map.empty[String, Double]
+    var k = 0
+    while (k < plans.size) {
+      if (live(k)) {
+        val cands = candidates(k)
+        val row = rows(k)
+        val profile = ColumnProfile.fromCodes(row, plans(k).thresholds.length)
+        var holds = false
+        var i = 0
+        while (i < cands.length) {
+          val c = cands(i)
+          if (i == 0 || c.dInIdx != cands(i - 1).dInIdx || c.m != cands(i - 1).m) holds = profile.covers(c.dInIdx, c.m)
+          if (holds) {
+            val sdc = ordered(c.idx)
+            covered(sdc)
+            val conf = sdc.confidence
+            j = 0
+            while (j < n) {
+              if (row(j) > c.dOutIdx && acc.getOrElse(arr(j), -1.0) < conf) acc(arr(j)) = conf
+              j += 1
+            }
+          }
+          i += 1
+        }
+      }
+      k += 1
+    }
+    acc.toMap
   }
 
   /** Predict errors in one column: flagged value -> max confidence. */
@@ -167,19 +154,11 @@ object SdcModel {
 
 object Predictor {
 
-  /** Batch prediction over many columns. The distinct values of all columns
-    * get their codes at the model's edges in one pass ([[ValueCodes]]); the
-    * columns are then decided in parallel ([[Par]]) by the kernel of
-    * [[SdcModel.predictColumn]]. The predictions come in column order, each
-    * column's in the order `predictColumn` returns them. No Spark job runs:
-    * `spark` is kept for the callers' signature.
+  /** Batch prediction: [[SdcModel.predictColumn]] on each column, in
+    * parallel ([[Par]]). The predictions come in column order, each column's
+    * in the order `predictColumn` returns them. No Spark job runs: `spark` is
+    * kept for the callers' signature.
     */
-  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
-    val codes = ValueCodes(cols.iterator.flatMap(_.values), model.plans)
-    val rows = model.plans.map(p => codes.row(p.eval))
-    Par.flatMapInOrder(cols) { col =>
-      model.decide(col.values.toArray, codes.ids(col.values), rows, _ => ())
-        .map { case (v, c) => Prediction(col.colId, v, c) }
-    }
-  }
+  def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+    Par.flatMapInOrder(cols)(c => model.predictColumn(c.values).map { case (v, conf) => Prediction(c.colId, v, conf) })
 }

@@ -9,9 +9,8 @@ import repro.dists.{DomainEval, EvalBank}
   * value gets an id, in first-appearance order, and every (evaluator, value)
   * one byte, the [[ColumnProfile.bucket]] of the evaluator's distance at its
   * threshold edges. Definition 2 compares a distance only with those edges,
-  * so the contingency pass, the C_syn detections and batch prediction count
-  * these codes ([[ColumnProfile.fromCodes]]) and never call an evaluator
-  * themselves.
+  * so the contingency pass and the C_syn detections count these codes
+  * ([[ColumnProfile.fromCodes]]) and never call an evaluator themselves.
   *
   * The dictionary is keyed on the raw string, null included: evaluators
   * such as patterns tell apart values that [[repro.dists.DomainEval.normalize]]

@@ -116,9 +116,10 @@ object GroupedSdcModel {
   /** One evaluator's sorted, distinct edges and its pre-condition groups. */
   private final case class Rules(eval: DomainEval, edges: Array[Double], groups: IndexedSeq[Group])
 
-  /** Batch prediction with this model's kernel, as `Predictor.predict`: one
-    * [[ValueCodes]] pass at the model's evaluators and edges (passed as plans
-    * without candidates), then the columns decided in column order.
+  /** Batch prediction with this model's kernel, the reference for
+    * `Predictor.predict`: one [[ValueCodes]] pass at the model's evaluators
+    * and edges (passed as plans without candidates), then the columns
+    * decided in column order.
     */
   def predict(model: GroupedSdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] = {
     val plans = model.evals.indices.map(k => EvalPlan(model.evals(k), model.edges(k), IndexedSeq.empty))

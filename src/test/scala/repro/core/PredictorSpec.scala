@@ -84,14 +84,14 @@ class PredictorSpec extends SparkSpec {
     assert(preds.map(_.value) == Seq("bad!"))
   }
 
-  test("distributed predict matches local predict") {
+  test("batch predict matches per-column predict") {
     val cols = Seq(
       col("a", (1 to 19).map(j => s"$j oz") :+ "0.05%"),
       col("b", (1 to 12).map(j => s"$j/10/2020") :+ "nope"),
       col("c", Seq("alpha", "beta", "gamma", "delta", "epsilon")))
-    val dist = Predictor.predict(spark, model, cols).toSet
+    val batch = Predictor.predict(spark, model, cols).toSet
     val local = cols.flatMap(c => predictLocal(model, c)).toSet
-    assert(dist == local)
+    assert(batch == local)
   }
 
   test("predictColumn equals the per-evaluator distance reference for all four families") {

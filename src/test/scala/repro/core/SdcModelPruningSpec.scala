@@ -3,6 +3,7 @@ package repro.core
 import java.util.concurrent.atomic.AtomicInteger
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.corpus.TableColumn
 import repro.dists.{DomainEval, EvalRegistry}
 
 /** Distance 0 for the values `inDomain` accepts and 1 for the rest; counts
@@ -15,9 +16,9 @@ final class CallCountingEval(override val id: String, inDomain: String => Boolea
   override def distance(v: String): Double = { calls.incrementAndGet(); if (inDomain(v)) 0.0 else 1.0 }
 }
 
-/** The work of [[SdcModel]]'s single-column pass: an evaluator is scored on
-  * the column's values until none of its SDCs' pre-conditions can hold any
-  * more, and not after.
+/** The work of [[SdcModel]]'s single-column pass, which batch prediction
+  * runs on each column: an evaluator is scored on the column's values until
+  * none of its SDCs' pre-conditions can hold any more, and not after.
   */
 class SdcModelPruningSpec extends AnyFunSuite {
 
@@ -87,6 +88,13 @@ class SdcModelPruningSpec extends AnyFunSuite {
     assert(m.explainColumn(Seq("in1")).covering.map(_.m) == Seq(0.6, 1.0))
     assert(m.predictColumn(Seq("out1")).isEmpty && m.explainColumn(Seq(null)).covering.isEmpty)
     assert(eval.calls.get == 3)
+  }
+
+  test("batch prediction drops evaluators per column: three columns outside d_in cost 3 calls each") {
+    val (m, eval) = model(0.9)
+    val cols = (1 to 3).map(c => TableColumn(s"c$c", "d", (1 to 20).map(i => s"out$c-$i"), Nil, 20))
+    assert(Predictor.predict(null, m, cols).isEmpty)
+    assert(eval.calls.get == 9) // (20 - 3) / 20 = 0.85 < 0.9
   }
 
   test("dropping one evaluator leaves the other's n calls unchanged") {
