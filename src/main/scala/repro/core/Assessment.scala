@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.Arrays
 import java.util.stream.IntStream
 
 import org.apache.spark.sql.{Dataset, SparkSession}
@@ -13,8 +14,9 @@ import repro.core.CandidateGen.EvalPlan
   * corpus' [[ValueCodes]]: each column is a list of value ids, and per
   * evaluator its codes are counted at the evaluator's grid edges
   * ([[ColumnProfile.fromCodes]]), from which (covered, triggered) follows
-  * for every candidate of that evaluator. An empty column covers nothing and
-  * triggers nothing, so it counts as ncnt and the four cells sum to |C|.
+  * for every candidate of that evaluator, counted per (d_in, d_out) cell
+  * ([[count]]). An empty column covers nothing and triggers nothing, so it
+  * counts as ncnt and the four cells sum to |C|.
   *
   * The driver then applies the statistical gates — Cohen's h effect size,
   * chi-squared significance, Appendix B.1 coverage pruning — and calibrates
@@ -80,8 +82,16 @@ object Assessment {
     count(columns, ValueCodes(columns.iterator.flatMap(_.values), plans), plans)
   }
 
-  /** Contingency counts of `corpus`, every value of which has a code. The
-    * plans own disjoint count slots, so they are counted in parallel.
+  /** Contingency counts of `corpus`, every value of which has a code.
+    *
+    * An evaluator's candidates share a few d_in, d_out and m (at most 4, 4
+    * and 9 on the grid), so each column is counted once per (d_in, d_out)
+    * cell, not once per candidate: per d_in, r = how many of the ascending
+    * m the column covers ([[ColumnProfile.coveredMs]]); per d_out, whether
+    * it triggers. Cell (d_in, d_out, triggered, r) gets one increment. A
+    * candidate whose m is the q-th is covered on exactly the columns with
+    * r > q, so its four counts are sums of its cell's r-histogram. The plans
+    * own disjoint count slots, so they are counted in parallel.
     */
   private[core] def count(corpus: Seq[TableColumn], codes: ValueCodes,
                           plans: IndexedSeq[EvalPlan]): Array[Long] = {
@@ -91,16 +101,32 @@ object Assessment {
       val plan = plans(k)
       val row = codes.row(plan.eval)
       val nEdges = plan.thresholds.length
-      val cands = plan.candidates.toArray
+      val cands = plan.candidates
+      val dIns = cands.map(_.dInIdx).distinct.sorted.toArray
+      val dOuts = cands.map(_.dOutIdx).distinct.sorted.toArray
+      val ms = Arrays.stream(cands.map(_.m).toArray).distinct().sorted().toArray
+      val nR = ms.length + 1
+      // cells(((a * dOuts.length + o) * 2 + t) * nR + r), t = 0 when triggered
+      val cells = new Array[Int](dIns.length * dOuts.length * 2 * nR)
+      val t = new Array[Int](dOuts.length)
       columns.foreach { ids =>
         val profile = ColumnProfile.fromCodes(row, ids, nEdges)
-        var j = 0
-        while (j < cands.length) {
-          val c = cands(j)
-          counts(c.idx * 4 + (if (profile.covers(c.dInIdx, c.m)) 0 else 2) +
-            (if (profile.triggers(c.dOutIdx)) 0 else 1)) += 1
-          j += 1
+        var o = 0
+        while (o < dOuts.length) { t(o) = if (profile.triggers(dOuts(o))) 0 else 1; o += 1 }
+        var a = 0
+        while (a < dIns.length) {
+          val r = profile.coveredMs(dIns(a), ms)
+          o = 0
+          while (o < dOuts.length) { cells(((a * dOuts.length + o) * 2 + t(o)) * nR + r) += 1; o += 1 }
+          a += 1
         }
+      }
+      cands.foreach { c =>
+        val cell = (Arrays.binarySearch(dIns, c.dInIdx) * dOuts.length +
+          Arrays.binarySearch(dOuts, c.dOutIdx)) * 2 * nR
+        val q = Arrays.binarySearch(ms, c.m)
+        for (tr <- 0 until 2; r <- 0 until nR)
+          counts(c.idx * 4 + (if (r > q) 0 else 2) + tr) += cells(cell + tr * nR + r)
       }
     }
     counts

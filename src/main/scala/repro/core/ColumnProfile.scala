@@ -8,7 +8,9 @@ package repro.core
   * prediction (App. B.2): the pre-condition "≥ m of f_t(v) ≤ d_in" is
   * [[covers]] and the trigger "some f_t(v) > d_out" is [[triggers]].
   * Thresholds are passed as indices into the edges, so every candidate of an
-  * evaluator is decided from one pass.
+  * evaluator is decided from one pass; the contingency pass asks
+  * [[coveredMs]] once per d_in for how many of the grid's m the column
+  * covers, instead of [[covers]] once per candidate.
   *
   * A value enters the histogram as its edge-bucket code
   * ([[ColumnProfile.bucket]]). Since `d > edges(k)` holds exactly when
@@ -26,6 +28,20 @@ final class ColumnProfile private (cumulative: Array[Int]) {
 
   /** Pre-condition: at least a fraction `m` of the values lie within edges(edge). */
   def covers(edge: Int, m: Double): Boolean = size > 0 && within(edge).toDouble / size >= m
+
+  /** How many of the ascending `ms` this column [[covers]] at edges(edge).
+    * The in-domain fraction is compared as in [[covers]], so the column
+    * covers exactly `ms(0 until r)`: a candidate whose m is `ms(q)` is
+    * covered iff q < r. An empty column covers none.
+    */
+  def coveredMs(edge: Int, ms: Array[Double]): Int = {
+    var r = 0
+    if (size > 0) {
+      val fraction = within(edge).toDouble / size
+      while (r < ms.length && fraction >= ms(r)) r += 1
+    }
+    r
+  }
 
   /** [[covers]] of this column plus one more value with edge-bucket `code`,
     * without re-profiling: a C_syn column C(v^e) is a base column plus v^e.

@@ -42,14 +42,15 @@ final class CtaClassifier private (
   override def distance(v: String): Double = 1.0 - score(v)
 
   /** Score of the value with features `f`, whose trigrams' log-odds under
-    * this classifier sum to `llrSum`.
+    * this classifier sum to `llrSum` and whose vocabulary membership under
+    * it is `member` ([[CtaClassifier.InTraining]], [[CtaClassifier.InFull]]
+    * or 0).
     */
-  private def scoreOf(f: CtaClassifier.Features, llrSum: Double): Double = {
-    val v = f.value
-    if (v.isEmpty) return 0.0
+  private def scoreOf(f: CtaClassifier.Features, llrSum: Double, member: Byte): Double = {
+    if (f.value.isEmpty) return 0.0
     val base =
-      if (trainSet.contains(v)) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, f.hash))
-      else if (fullSet.contains(v)) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, f.hash))
+      if (member == CtaClassifier.InTraining) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, f.hash))
+      else if (member == CtaClassifier.InFull) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, f.hash))
       else 0.5 * (1.0 / (1.0 + math.exp(-(llrSum / f.grams.length)))) // logistic squash of the mean trigram LLR
     // Per-value calibration noise: real neural CTA classifiers are not
     // cleanly banded per value, which is what defeats naive per-value
@@ -64,6 +65,12 @@ object CtaClassifier {
   /** LLR assigned to trigrams never seen in the type's vocabulary. */
   val UnseenLogOdds: Double = -4.0
 
+  /** A value's membership under one classifier: in its training vocabulary,
+    * or only in its type's full vocabulary (0: in neither).
+    */
+  private val InTraining: Byte = 1
+  private val InFull: Byte = 2
+
   /** What every classifier reads of a value: its normalized form, that
     * form's hash and its trigrams (none for the empty value, which scores 0).
     */
@@ -76,7 +83,8 @@ object CtaClassifier {
   }
 
   /** Classifiers scored together: each value's [[Features]] are computed
-    * once, and each of its trigrams is looked up once for all of them.
+    * once, and its vocabulary membership and each of its trigrams are looked
+    * up once for all of them.
     * Every score, a single classifier's included, is computed here.
     * Classifier k's scores go to row `rows(k)` of the caller's matrix.
     */
@@ -97,6 +105,22 @@ object CtaClassifier {
 
     private val unseen: Array[Double] = Array.fill(classifiers.size)(UnseenLogOdds)
 
+    /** normalized value -> its membership under each classifier, for the
+      * values in some classifier's full or training vocabulary.
+      */
+    private val membership: java.util.HashMap[String, Array[Byte]] = {
+      val m = new java.util.HashMap[String, Array[Byte]]()
+      def mark(vocab: Set[String], k: Int, member: Byte): Unit =
+        vocab.foreach(v => m.computeIfAbsent(v, _ => new Array[Byte](classifiers.size))(k) = member)
+      classifiers.indices.foreach { k =>
+        mark(classifiers(k).fullSet, k, InFull)
+        mark(classifiers(k).trainSet, k, InTraining)
+      }
+      m
+    }
+
+    private val nowhere: Array[Byte] = new Array[Byte](classifiers.size)
+
     /** Writes classifier k's score of `values(j)` into `out(rows(k))(j)`,
       * for every j in [from, until) and every k with `mask(rows(k))`.
       */
@@ -114,9 +138,10 @@ object CtaClassifier {
           while (k < sums.length) { sums(k) += llr(k); k += 1 }
           g += 1
         }
+        val member = membership.getOrDefault(f.value, nowhere)
         var k = 0
         while (k < sums.length) {
-          if (mask(rows(k))) out(rows(k))(j) = classifiers(k).scoreOf(f, sums(k))
+          if (mask(rows(k))) out(rows(k))(j) = classifiers(k).scoreOf(f, sums(k), member(k))
           k += 1
         }
         j += 1

@@ -153,19 +153,22 @@ object Experiments {
     (r.f1AtP80, r.prAuc)
   }
 
-  /** Single-threaded prediction latency (seconds per column): the median
-    * of 5 timed passes over a 300-column sample, after one untimed pass
-    * over the whole sample so JIT compilation order does not rank models.
+  /** Single-threaded prediction latency (seconds per column) of each of
+    * `models`: the median of 5 timed passes over a 300-column sample. Every
+    * model first makes one untimed pass over the whole sample, before any
+    * model is timed, so JIT compilation order does not rank models.
     */
-  def latencyPerColumn(model: SdcModel, cols: Seq[TableColumn]): Double = {
+  def latencyPerColumn(models: Seq[SdcModel], cols: Seq[TableColumn]): Seq[Double] = {
     val sample = cols.take(300)
-    sample.foreach(c => model.predictColumn(c.values))
-    val passes = Seq.fill(5) {
-      val t0 = System.nanoTime()
-      sample.foreach(c => model.predictColumn(c.values))
-      (System.nanoTime() - t0) / 1e9 / sample.size
+    models.foreach(model => sample.foreach(c => model.predictColumn(c.values)))
+    models.map { model =>
+      val passes = Seq.fill(5) {
+        val t0 = System.nanoTime()
+        sample.foreach(c => model.predictColumn(c.values))
+        (System.nanoTime() - t0) / 1e9 / sample.size
+      }
+      passes.sorted.apply(2)
     }
-    passes.sorted.apply(2)
   }
 
   // ------------------------------------------------------------- formatting

@@ -45,7 +45,7 @@ object Tables {
       val t0 = System.nanoTime()
       val p = score(bench, setting)(r.predict)
       Console.err.println(f"[$tag] ${r.labels.mkString(" ")}%-30s $bench/$setting%-6s (f1, auc) = " +
-        f"${fmtPair(p)} [${(System.nanoTime() - t0) / 1e9}%.1f s]")
+        f"${fmtPair(p)} [${(System.nanoTime() - t0) / 1e9}%.3f s]")
       (r.key, bench, setting) -> p
     }).toMap
     val body = rows.map(r => r.labels ++ grid.map { case (b, s) => scores.get((r.key, b, s)).fold("-")(fmtPair) })
@@ -99,11 +99,12 @@ object Tables {
       budgets.map(b => b.toString -> new SdcModel(
         m.reselect(bSize = b, delta = Some(m.config.delta)).selected.map(_.sdc), m.registry)) :+
         (s"${AllConstraints.name} (${m.assessed.size})" -> m.allConstraintsModel)
-    val rows = variants.map { case (name, model) =>
-      val (stF1, stAuc) = score("st", "real")(Predictor.predict(spark, model, _))
-      val (rtF1, rtAuc) = score("rt", "real")(Predictor.predict(spark, model, _))
-      val lat = latencyPerColumn(model, stBench)
-      Console.err.println(f"[table5] B_size=$name%-22s st=($stF1%.2f,$stAuc%.2f) rt=($rtF1%.2f,$rtAuc%.2f) $lat%.4f s/col")
+    val quality = variants.map { case (_, model) =>
+      (score("st", "real")(Predictor.predict(spark, model, _)), score("rt", "real")(Predictor.predict(spark, model, _)))
+    }
+    val latencies = latencyPerColumn(variants.map(_._2), stBench)
+    val rows = variants.lazyZip(quality).lazyZip(latencies).map { case ((name, _), ((stF1, stAuc), (rtF1, rtAuc)), lat) =>
+      Console.err.println(f"[table5] B_size=$name%-22s st=($stF1%.2f,$stAuc%.2f) rt=($rtF1%.2f,$rtAuc%.2f) $lat%.6f s/col")
       Table5Row(name, stF1, stAuc, rtF1, rtAuc, lat)
     }
     val rendered = table(

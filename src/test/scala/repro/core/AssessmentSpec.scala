@@ -4,7 +4,9 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import repro.corpus.TableColumn
-import repro.dists.{EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
+import repro.dists.{CtaClassifier, EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
+import repro.domains.Vocab
+import repro.util.Det
 
 class AssessmentSpec extends SparkSpec {
 
@@ -72,6 +74,39 @@ class AssessmentSpec extends SparkSpec {
     assert(got.toSeq == ref.contingency(ref.corpus, mixedPlans).toSeq)
     assert(mixedPlans.exists(p => p.eval.family == repro.dists.DomainEval.Embedding &&
       p.candidates.exists(c => got(c.idx * 4) + got(c.idx * 4 + 1) > 0)), "no embedding candidate covers a column")
+  }
+
+  test("count equals the per-value reference on generated corpora and candidate lists") {
+    val evals = IndexedSeq(patEval, new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, "january"),
+      CtaClassifier.sherlockBank(Vocab.nlDomains).head) ++ FunctionEval.allEvals.take(2)
+    val reg = new EvalRegistry(evals)
+    val grid = CandidateGen.enumerate(reg).flatMap(_.candidates.map(_.toSdc(0.0)))
+    val genValue = Gen.oneOf(
+      Gen.choose(1, 99).map(i => s"$i oz"),
+      Gen.choose(1, 12).map(i => s"$i/5/2020"),
+      Gen.oneOf("january", "march", "germany", "febuary", "seattle", "oops", ""))
+    // Empty, one-value and repeated-value columns, and 19 of 20 values in
+    // the pattern's domain, exactly on the m = 0.95 grid point.
+    val genValues: Gen[Seq[String]] = Gen.frequency(
+      1 -> Gen.const(Nil),
+      1 -> genValue.map(Seq(_)),
+      2 -> Gen.zip(genValue, Gen.choose(2, 6), Gen.listOf(genValue)).map { case (v, n, rest) => Seq.fill(n)(v) ++ rest },
+      2 -> Gen.oneOf("oops", "january", "12/5/2020").map(bad => (1 to 19).map(i => s"$i oz") :+ bad),
+      4 -> Gen.choose(0, 20).flatMap(Gen.listOfN(_, genValue)))
+    val genColumn = Gen.zip(Gen.identifier, genValues).map { case (id, vs) => TableColumn(id, "gen", vs, Nil, vs.size.toLong) }
+    // Grid candidates in arbitrary order, some repeated, so that several
+    // share (d_in, m) and a plan holds only part of its grid.
+    val genSdcs = Gen.zip(Gen.someOf(grid), Gen.someOf(grid), Gen.choose(0L, 1000L))
+      .map { case (some, again, seed) => Det.shuffle(seed, (some ++ again.take(8)).toIndexedSeq) }
+      .suchThat(_.nonEmpty)
+    val prop = Prop.forAll(Gen.choose(0, 30).flatMap(Gen.listOfN(_, genColumn)), genSdcs) { (cols, sdcs) =>
+      val sdcPlans = CandidateGen.plansFor(sdcs, reg)((eval, _) => CandidateGen.thresholds(eval))
+      val got = Assessment.count(cols, ValueCodes(cols.iterator.flatMap(_.values), sdcPlans), sdcPlans)
+      got.toSeq == PerValueReference.contingency(cols, sdcPlans).toSeq
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(21L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("contingency matches hand computation for m=0.95 pattern candidate") {

@@ -32,6 +32,17 @@ class ColumnProfileSpec extends AnyFunSuite {
     assert(result.passed, result.status)
   }
 
+  test("coveredMs is the number of ascending ms that covers holds on") {
+    val prop = Prop.forAll(genDists, genEdges, Gen.listOf(genM)) { (dists, edges, ms) =>
+      val p = PerValueReference.profile(dists, edges)
+      val sorted = ms.distinct.sorted.toArray
+      edges.indices.forall(i => p.coveredMs(i, sorted) == sorted.count(p.covers(i, _)))
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(43L)), prop)
+    assert(result.passed, result.status)
+  }
+
   test("coversWith equals covers of the column with the extra distance appended") {
     val special = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -1.0)
     val genD: Gen[Double] = Gen.frequency(

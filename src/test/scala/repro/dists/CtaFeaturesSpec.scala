@@ -84,6 +84,22 @@ class CtaFeaturesSpec extends AnyFunSuite {
     sameScores(random)
   }
 
+  test("bank scores follow each classifier's own vocabulary membership") {
+    // In one classifier's training vocabulary and only in another's full one.
+    val split = classifiers.iterator.flatMap(_.trainSet.toSeq.sorted)
+      .find(v => classifiers.exists(c => c.fullSet.contains(v) && !c.trainSet.contains(v))).get
+    val unknown = "zq-17 xw"
+    assert(!classifiers.exists(c => c.fullSet.contains(unknown) || c.trainSet.contains(unknown)))
+    val values = Array(split, unknown)
+    val scores = Array.fill(classifiers.size)(new Array[Double](values.length))
+    new CtaClassifier.Bank(classifiers, classifiers.indices.toArray)
+      .scoresInto(values, 0, values.length, Array.fill(classifiers.size)(true), scores)
+    assert(classifiers.size == 24)
+    for (k <- classifiers.indices; j <- values.indices)
+      assert(doubleToLongBits(scores(k)(j)) == doubleToLongBits(PerCallCta.score(classifiers(k), values(j))),
+        s"${classifiers(k).id} on '${values(j)}'")
+  }
+
   test("bank rows of CTA classifiers mixed in any order among the other families equal the per-call scores") {
     val others: IndexedSeq[DomainEval] =
       IndexedSeq("january", "seattle").map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)) ++
