@@ -17,8 +17,6 @@ object AutoTest {
       nCentroids: Int = 150,
       /** corpus-mined patterns (paper: 45) */
       nPatterns: Int = 40,
-      /** the Sec 5.2 statistical gates */
-      assessConfig: Assessment.AssessConfig = Assessment.AssessConfig(),
       /** |C_syn| for distant-supervision recall estimation */
       nSyn: Int = 2000,
       bSize: Int = 500,
@@ -28,6 +26,11 @@ object AutoTest {
       maxLpCandidates: Int = 2500,
       seed: Long = 42,
   ) {
+    /** The Sec 5.2 statistical gates, all on. Table 8 ablates them with
+      * [[TrainedModel.reassess]] on the stored counts, not by retraining.
+      */
+    val assessConfig: Assessment.AssessConfig = Assessment.AssessConfig()
+
     /** CSS (`delta` = None) or FSS selection settings at budget `bSize`. */
     private[AutoTest] def selection(bSize: Int, bFpr: Double, delta: Option[Double]): Selection.SelectionConfig =
       Selection.SelectionConfig(bSize, bFpr, delta, maxLpCandidates, seed = seed)
@@ -77,8 +80,7 @@ object AutoTest {
     /** Fine-Select over a filtered R_all (Table 7's drop-one-family
       * ablation): detections are remapped to the surviving candidates.
       */
-    def selectSubset(keep: AssessedCandidate => Boolean,
-                     delta: Option[Double] = Some(config.delta)): Selection.SelectionResult = {
+    def selectSubset(keep: AssessedCandidate => Boolean): Selection.SelectionResult = {
       val kept = IndexedSeq.newBuilder[AssessedCandidate]
       val remap = new Array[Int](assessed.size) // old idx -> new idx, −1 = dropped
       var n = 0
@@ -87,7 +89,7 @@ object AutoTest {
       }
       // remap is increasing on the kept candidates, so the pairs stay sorted.
       val pairs = packedDetections.collect { case p if remap(p.toInt) >= 0 => p & ~0xffffffffL | remap(p.toInt) }
-      Selection.select(kept.result(), pairs, config.selection(config.bSize, config.bFpr, delta))
+      Selection.select(kept.result(), pairs, config.selection(config.bSize, config.bFpr, Some(config.delta)))
     }
   }
 

@@ -10,13 +10,16 @@ package repro.core
   * Thresholds are passed as indices into the edges, so every candidate of an
   * evaluator is decided from one pass; the contingency pass asks
   * [[coveredMs]] once per d_in for how many of the grid's m the column
-  * covers, instead of [[covers]] once per candidate.
+  * covers, instead of [[covers]] once per candidate. Every in-domain
+  * fraction, here and in the prediction kernel's drop rule, is compared with
+  * m by [[ColumnProfile.inDomain]].
   *
   * A value enters the histogram as its edge-bucket code
   * ([[ColumnProfile.bucket]]). Since `d > edges(k)` holds exactly when
-  * `bucket(d) > k`, the code is all Definition 2 needs of a distance: the
-  * corpus passes count codes looked up by value id, and prediction a
-  * column's own codes ([[ColumnProfile.fromCodes]]).
+  * `bucket(d) > k`, the code is all Definition 2 needs of a distance: all
+  * three passes profile a column with the one factory
+  * [[ColumnProfile.fromCodes]], from codes looked up by value id (the corpus
+  * passes) or by the column's own positions (prediction).
   */
 final class ColumnProfile private (cumulative: Array[Int]) {
 
@@ -27,19 +30,16 @@ final class ColumnProfile private (cumulative: Array[Int]) {
   private[core] def within(edge: Int): Int = cumulative(edge)
 
   /** Pre-condition: at least a fraction `m` of the values lie within edges(edge). */
-  def covers(edge: Int, m: Double): Boolean = size > 0 && within(edge).toDouble / size >= m
+  def covers(edge: Int, m: Double): Boolean = ColumnProfile.inDomain(within(edge), size, m)
 
-  /** How many of the ascending `ms` this column [[covers]] at edges(edge).
-    * The in-domain fraction is compared as in [[covers]], so the column
-    * covers exactly `ms(0 until r)`: a candidate whose m is `ms(q)` is
-    * covered iff q < r. An empty column covers none.
+  /** How many of the ascending `ms` this column [[covers]] at edges(edge):
+    * the column covers exactly `ms(0 until r)`, so a candidate whose m is
+    * `ms(q)` is covered iff q < r. An empty column covers none.
     */
   def coveredMs(edge: Int, ms: Array[Double]): Int = {
+    val w = within(edge)
     var r = 0
-    if (size > 0) {
-      val fraction = within(edge).toDouble / size
-      while (r < ms.length && fraction >= ms(r)) r += 1
-    }
+    while (r < ms.length && ColumnProfile.inDomain(w, size, ms(r))) r += 1
     r
   }
 
@@ -47,13 +47,19 @@ final class ColumnProfile private (cumulative: Array[Int]) {
     * without re-profiling: a C_syn column C(v^e) is a base column plus v^e.
     */
   def coversWith(code: Int, edge: Int, m: Double): Boolean =
-    (within(edge) + (if (code <= edge) 1 else 0)).toDouble / (size + 1) >= m
+    ColumnProfile.inDomain(within(edge) + (if (code <= edge) 1 else 0), size + 1, m)
 
   /** Some value lies beyond edges(edge). */
   def triggers(edge: Int): Boolean = within(edge) < size
 }
 
 object ColumnProfile {
+
+  /** Definition 2's pre-condition on counts: at least a fraction `m` of
+    * `size` values are in-domain (`within` of them lie within d_in). Empty
+    * columns are never in-domain.
+    */
+  def inDomain(within: Int, size: Int, m: Double): Boolean = size > 0 && within.toDouble / size >= m
 
   /** Edge-bucket code of distance `d` at sorted, distinct `edges`: the number
     * of edges below `d`, so bucket k holds edges(k-1) < d <= edges(k) and
@@ -79,16 +85,6 @@ object ColumnProfile {
     val c = new Array[Int](nEdges + 1)
     var i = 0
     while (i < ids.length) { c(codes(ids(i))) += 1; i += 1 }
-    var b = 1
-    while (b < c.length) { c(b) += c(b - 1); b += 1 }
-    new ColumnProfile(c)
-  }
-
-  /** Profile of a column whose values' codes at `nEdges` edges are `codes`. */
-  def fromCodes(codes: Array[Byte], nEdges: Int): ColumnProfile = {
-    val c = new Array[Int](nEdges + 1)
-    var i = 0
-    while (i < codes.length) { c(codes(i)) += 1; i += 1 }
     var b = 1
     while (b < c.length) { c(b) += c(b - 1); b += 1 }
     new ColumnProfile(c)

@@ -19,9 +19,11 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   * sorted, distinct d_in and d_out of its SDCs, so a value's edge-bucket code
   * decides both conditions (DESIGN §5). A column is scored value by value
   * with the model's own [[EvalBank]], and an evaluator is scored no more once
-  * none of its pre-conditions can hold on the column. Each evaluator left is
-  * profiled once ([[ColumnProfile]]), so every pre-condition is an O(1)
-  * lookup however many SDCs share it (the Appendix B.2 dedup).
+  * none of its pre-conditions can hold on the column
+  * ([[ColumnProfile.inDomain]]). Each evaluator left is profiled once, by the
+  * factory the corpus passes use ([[ColumnProfile.fromCodes]]), so every
+  * pre-condition is an O(1) lookup however many SDCs share it (the
+  * Appendix B.2 dedup).
   * [[predictColumn]], [[explainColumn]] and, per column,
   * [[Predictor.predict]] all run this one pass.
   */
@@ -54,13 +56,13 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
   /** No candidate of plan k can cover a column of `n` values of which
     * `beyond(i)` are coded above `dInEdges(k)(i)`: more values only shrink
-    * the within count, so this is [[ColumnProfile.covers]]'s comparison
-    * failing for good.
+    * the within count, so [[ColumnProfile.inDomain]], the comparison behind
+    * [[ColumnProfile.covers]], fails for good.
     */
   private def dropped(k: Int, beyond: Array[Int], n: Int): Boolean = {
     val ms = leastM(k)
     var i = 0
-    while (i < ms.length && (n - beyond(i)).toDouble / n < ms(i)) i += 1
+    while (i < ms.length && !ColumnProfile.inDomain(n - beyond(i), n, ms(i))) i += 1
     i == ms.length
   }
 
@@ -70,11 +72,12 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
     * The values are coded with the model's bank value by value. Each plan
     * counts the values coded above each of its d_in edges and is dropped
     * once [[dropped]] holds: it gets no more distance calls, and none of its
-    * SDCs can cover the column. Each plan left is profiled from its codes,
-    * and each of its SDCs whose pre-condition holds is passed to `covered`,
-    * in kernel order; SDCs that share a pre-condition are adjacent, so it is
-    * looked up once for them. The output does not depend on the order of
-    * the values.
+    * SDCs can cover the column. Each plan left is profiled from its codes
+    * with the corpus passes' factory ([[ColumnProfile.fromCodes]], the ids
+    * being the column's positions), and each of its SDCs whose pre-condition
+    * holds is passed to `covered`, in kernel order; SDCs that share a
+    * pre-condition are adjacent, so it is looked up once for them. The
+    * output does not depend on the order of the values.
     */
   private def decideColumn(values: Seq[String], covered: Sdc => Unit): Map[String, Double] = {
     val arr = values.toArray
@@ -103,12 +106,13 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
       j += 1
     }
     val acc = scala.collection.mutable.Map.empty[String, Double]
+    val ids = Array.range(0, n)
     var k = 0
     while (k < plans.size) {
       if (live(k)) {
         val cands = candidates(k)
         val row = rows(k)
-        val profile = ColumnProfile.fromCodes(row, plans(k).thresholds.length)
+        val profile = ColumnProfile.fromCodes(row, ids, plans(k).thresholds.length)
         var holds = false
         var i = 0
         while (i < cands.length) {

@@ -7,8 +7,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
   * @param colId     stable unique id
   * @param domainTag generating semantic domain (ground truth; read on the
   *                  training path by `SynCorpus.generate`, ROADMAP item 7)
-  * @param values    the column's *distinct* values (SDC pre/post conditions
-  *                  operate on the distinct-value set; see DESIGN §5)
+  * @param values    the column's *distinct* values. This is the callers'
+  *                  contract, and nothing enforces it: training and
+  *                  `SdcModel.predictColumn` count a repeated value once per
+  *                  occurrence (DESIGN §5, ROADMAP item 11)
   * @param errors    labelled erroneous values (ground truth; empty if clean)
   * @param nTotalVals total value count including duplicates (Table 3 stats)
   */
@@ -18,9 +20,7 @@ final case class TableColumn(
     values: Seq[String],
     errors: Seq[String],
     nTotalVals: Long,
-) {
-  def isDirty: Boolean = errors.nonEmpty
-}
+)
 
 /** Row views of column collections.
   *

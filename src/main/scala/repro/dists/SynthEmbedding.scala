@@ -51,9 +51,6 @@ final class SynthEmbedding private (
     LinAlg.scale(vec, globalScale)
   }
 
-  /** Euclidean distance between two values in this embedding space. */
-  def distance(a: String, b: String): Double = LinAlg.euclidean(embed(a), embed(b))
-
   private def oovVector(t: String): Array[Double] = {
     val s = Det.combine(Det.hashString(name), Det.hashString("oov"), Det.hashString(t))
     val out = new Array[Double](dim)

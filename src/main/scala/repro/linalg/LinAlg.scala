@@ -24,11 +24,6 @@ object LinAlg {
     Array.tabulate(a.length)(i => a(i) - b(i))
   }
 
-  def add(a: Vec, b: Vec): Vec = {
-    require(a.length == b.length, "add: dimension mismatch")
-    Array.tabulate(a.length)(i => a(i) + b(i))
-  }
-
   def scale(a: Vec, s: Double): Vec = {
     val out = new Array[Double](a.length)
     var i = 0

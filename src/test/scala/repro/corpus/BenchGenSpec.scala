@@ -13,18 +13,18 @@ class BenchGenSpec extends AnyFunSuite {
   }
 
   test("dirty fraction is in the paper's 3-4% band") {
-    val f = st.count(_.isDirty).toDouble / st.size
+    val f = st.count(_.errors.nonEmpty).toDouble / st.size
     assert(f > 0.015 && f < 0.08, s"dirty fraction $f")
   }
 
   test("every labelled error value is present in its column") {
-    (st ++ rt).filter(_.isDirty).foreach { c =>
+    (st ++ rt).filter(_.errors.nonEmpty).foreach { c =>
       c.errors.foreach(e => assert(c.values.contains(e), s"${c.colId}: $e"))
     }
   }
 
   test("errors are not valid members of the column's domain") {
-    (st ++ rt).filter(_.isDirty).foreach { c =>
+    (st ++ rt).filter(_.errors.nonEmpty).foreach { c =>
       Vocab.byName(c.domainTag) match {
         case v: VocabDomain => c.errors.foreach(e => assert(!v.all.contains(e.toLowerCase), s"${c.colId}: $e"))
         case _              => // machine domains checked via validators elsewhere
@@ -44,7 +44,7 @@ class BenchGenSpec extends AnyFunSuite {
   }
 
   test("benchmark includes Fig 3 trap domains among clean columns") {
-    val cleanDomains = st.filterNot(_.isDirty).map(_.domainTag).toSet
+    val cleanDomains = st.filterNot(_.errors.nonEmpty).map(_.domainTag).toSet
     assert(cleanDomains.contains("gene") || cleanDomains.contains("age_range") ||
            cleanDomains.contains("pay_range"))
   }

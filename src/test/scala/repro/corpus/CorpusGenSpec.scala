@@ -40,12 +40,12 @@ class CorpusGenSpec extends SparkSpec {
   }
 
   test("corpus is mostly clean (~98%, paper Sec 5.2)") {
-    val dirtyFrac = corpus.count(_.isDirty).toDouble / corpus.size
+    val dirtyFrac = corpus.count(_.errors.nonEmpty).toDouble / corpus.size
     assert(dirtyFrac < 0.05, s"dirtyFrac $dirtyFrac")
   }
 
   test("labelled corpus errors are real members of their columns") {
-    corpus.filter(_.isDirty).foreach { c =>
+    corpus.filter(_.errors.nonEmpty).foreach { c =>
       c.errors.foreach(e => assert(c.values.contains(e)))
     }
   }
@@ -56,7 +56,7 @@ class CorpusGenSpec extends SparkSpec {
     val relMean = rel.map(_.values.size).sum.toDouble / rel.size
     val sprMean = spr.map(_.values.size).sum.toDouble / spr.size
     assert(sprMean < relMean, s"spreadsheet $sprMean vs relational $relMean")
-    assert(spr.count(_.isDirty) >= rel.count(_.isDirty))
+    assert(spr.count(_.errors.nonEmpty) >= rel.count(_.errors.nonEmpty))
   }
 
   test("relational columns have high duplication factors (Table 3)") {
@@ -65,7 +65,7 @@ class CorpusGenSpec extends SparkSpec {
   }
 
   test("clean columns draw only valid domain values") {
-    corpus.filterNot(_.isDirty).take(50).foreach { c =>
+    corpus.filterNot(_.errors.nonEmpty).take(50).foreach { c =>
       Vocab.byName(c.domainTag) match {
         case v: repro.domains.VocabDomain =>
           c.values.foreach(x => assert(v.all.contains(x.toLowerCase), s"${c.colId}: $x"))

@@ -61,6 +61,27 @@ class EvalBankSpec extends AnyFunSuite {
     check(Prop.forAll(genEvals, genColumn)(matchesDistance), 200)
   }
 
+  test("distancesInto writes exactly the masked rows over [from, until), bit-equal to distance") {
+    val sentinel = -7.25 // no distance is negative
+    val gen = for {
+      evals  <- genEvals
+      values <- genColumn
+      mask   <- Gen.listOfN(evals.size, Arbitrary.arbitrary[Boolean])
+      from   <- Gen.choose(0, values.length)
+      until  <- Gen.choose(from, values.length)
+    } yield (evals, values, mask.toArray, from, until)
+    check(Prop.forAll(gen) { case (evals, values, rows, from, until) =>
+      val out = Array.fill(evals.size)(Array.fill(values.length)(sentinel))
+      new EvalBank(evals).distancesInto(values, from, until, rows, out)
+      evals.indices.forall { i =>
+        values.indices.forall { j =>
+          val want = if (rows(i) && j >= from && j < until) evals(i).distance(values(j)) else sentinel
+          doubleToLongBits(out(i)(j)) == doubleToLongBits(want)
+        }
+      }
+    }, 200)
+  }
+
   test("a bank with one embedding model matches per-evaluator distance") {
     check(Prop.forAll(genColumn)(vs => matchesDistance(glove, vs)), 100)
   }

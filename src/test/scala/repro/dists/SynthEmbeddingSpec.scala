@@ -4,11 +4,15 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.domains.Vocab
+import repro.linalg.LinAlg
 
 class SynthEmbeddingSpec extends AnyFunSuite {
 
   private val glove = EvalRegistry.gloveEmbedding
   private val sbert = EvalRegistry.sbertEmbedding
+
+  /** Euclidean distance between two values in `e`'s space. */
+  private def dist(e: SynthEmbedding, a: String, b: String): Double = LinAlg.euclidean(e.embed(a), e.embed(b))
 
   test("embedding is deterministic") {
     assert(glove.embed("seattle").toSeq == glove.embed("seattle").toSeq)
@@ -16,48 +20,48 @@ class SynthEmbeddingSpec extends AnyFunSuite {
   }
 
   test("same-domain common words cluster (months)") {
-    val d = glove.distance("january", "february")
+    val d = dist(glove, "january", "february")
     assert(d < 4.0, s"january-february glove distance $d")
   }
 
   test("cross-domain words are far apart (month vs color — the paper's example)") {
-    val near = glove.distance("january", "march")
-    val far  = glove.distance("january", "yellow")
+    val near = dist(glove, "january", "march")
+    val far  = dist(glove, "january", "yellow")
     assert(far > near * 1.5, s"near=$near far=$far")
   }
 
   test("typos are far from their source word (OOV hash vectors)") {
-    val ok   = glove.distance("seattle", "chicago")
-    val typo = glove.distance("seattle", "seattel")
+    val ok   = dist(glove, "seattle", "chicago")
+    val typo = dist(glove, "seattle", "seattel")
     assert(typo > ok * 1.5, s"ok=$ok typo=$typo")
   }
 
   test("glove does not know uncommon vocabulary (Example 2 'omayra' effect)") {
     // An uncommon-but-valid city lands far in GloVe-sim...
     val uncommonCity = Vocab.city.uncommon.head
-    val gd = glove.distance("seattle", uncommonCity)
+    val gd = dist(glove, "seattle", uncommonCity)
     // ...but near in SBERT-sim, which knows the full vocabulary.
-    val sd = sbert.distance("seattle", uncommonCity)
-    val sNear = sbert.distance("seattle", "chicago")
+    val sd = dist(sbert, "seattle", uncommonCity)
+    val sNear = dist(sbert, "seattle", "chicago")
     assert(gd > 5.0, s"glove should treat '$uncommonCity' as OOV, got $gd")
     assert(sd < sNear * 3.0, s"sbert should keep '$uncommonCity' near cities: $sd vs $sNear")
   }
 
   test("sbert distances are ~4x smaller than glove (paper scale difference)") {
-    val g = glove.distance("january", "february")
-    val s = sbert.distance("january", "february")
+    val g = dist(glove, "january", "february")
+    val s = dist(sbert, "january", "february")
     assert(s < g, s"sbert=$s glove=$g")
   }
 
   test("sbert separates in-domain from typo") {
-    val near = sbert.distance("seattle", "chicago")
-    val typo = sbert.distance("seattle", "seattel")
+    val near = dist(sbert, "seattle", "chicago")
+    val typo = dist(sbert, "seattle", "seattel")
     assert(typo > near * 1.5, s"near=$near typo=$typo")
   }
 
   test("multiword values embed via token averaging") {
-    val d = glove.distance("new york", "new jersey") // shared token pulls them together
-    val far = glove.distance("new york", "12 oz")
+    val d = dist(glove, "new york", "new jersey") // shared token pulls them together
+    val far = dist(glove, "new york", "12 oz")
     assert(d < far)
   }
 
@@ -82,7 +86,7 @@ class SynthEmbeddingSpec extends AnyFunSuite {
   }
 
   test("normalization applies before embedding") {
-    assert(glove.distance("Seattle", "seattle") < 1e-9)
+    assert(dist(glove, "Seattle", "seattle") < 1e-9)
   }
 
   test("tokenize equals String.split on whitespace runs, edge spaces and surrogate pairs") {
