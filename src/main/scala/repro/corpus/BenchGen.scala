@@ -1,5 +1,7 @@
 package repro.corpus
 
+import java.util.Locale
+
 import repro.domains.{Domain, TypoGen, Vocab, VocabDomain}
 import repro.util.Det
 
@@ -108,7 +110,7 @@ object BenchGen {
     */
   private def isValidIn(domainTag: String, v: String): Boolean =
     Vocab.byName.get(domainTag) match {
-      case Some(vd: VocabDomain) => vd.all.contains(v.toLowerCase)
+      case Some(vd: VocabDomain) => vd.all.contains(v.toLowerCase(Locale.ROOT))
       case _                     => false
     }
 }

@@ -1,5 +1,7 @@
 package repro.corpus
 
+import java.util.Locale
+
 import repro.domains.Vocab
 import repro.util.Det
 
@@ -68,7 +70,7 @@ object CleaningDatasets {
       known = Seq("ax", "xk"), missed = Seq("us"), gt = true),
     col("beers", "brewery_name", draw("full_name", 50, "beers-brew").map(_ + " brewing"), gt = true),
     cat("beers", "style", Seq("ipa", "stout", "lager", "pilsner", "porter", "ale", "saison", "wheat")),
-    col("beers", "abv", (1 to 40).toVector.map(i => f"${3.0 + i * 0.2}%.1f%%")),
+    col("beers", "abv", (1 to 40).toVector.map(i => "%.1f%%".formatLocal(Locale.ROOT, 3.0 + i * 0.2))),
     col("beers", "ounces", (1 to 12).toVector.map(i => s"${i * 4} oz")),
   )
 
@@ -154,7 +156,7 @@ object CleaningDatasets {
         missed = Seq("nan")),
       col("movies", "year", (1960 to 2023).toVector.map(_.toString)),
       cat("movies", "genre", Seq("action", "comedy", "drama", "horror", "romance", "thriller", "sci-fi", "documentary")),
-      cat("movies", "rating_value", (10 to 99).map(i => f"${i / 10.0}%.1f")),
+      cat("movies", "rating_value", (10 to 99).map(i => "%.1f".formatLocal(Locale.ROOT, i / 10.0))),
       cat("movies", "content_rating", Seq("g", "pg", "pg-13", "r", "nc-17", "not rated")),
       col("movies", "director", draw("full_name", 60, "mov-dir")),
       col("movies", "actors", draw("full_name", 60, "mov-act")),

@@ -1,5 +1,7 @@
 package repro.corpus
 
+import java.util.Locale
+
 import repro.domains.{Domain, TypoGen, Vocab, VocabDomain}
 import repro.util.Det
 
@@ -68,7 +70,7 @@ object CorpusGen {
   def caseJitter(v: String, seed: Long): String = {
     val u = Det.uniform(Det.combine(seed, 0xcafeL))
     if (u < 0.22) titleCase(v)
-    else if (u < 0.30) v.toUpperCase
+    else if (u < 0.30) v.toUpperCase(Locale.ROOT)
     else v
   }
 

@@ -35,27 +35,26 @@ final class CtaClassifier private (
   /** Classifier similarity score in [0, 1]. */
   def score(raw: String): Double = {
     val out = Array(new Array[Double](1))
-    alone.scoresInto(Array(raw), 0, 1, Array(true), out)
+    alone.scoresInto(Array(DomainEval.normalize(raw)), 0, Array(true), out)
     out(0)(0)
   }
 
   override def distance(v: String): Double = 1.0 - score(v)
 
-  /** Score of the value with features `f`, whose trigrams' log-odds under
-    * this classifier sum to `llrSum` and whose vocabulary membership under
-    * it is `member` ([[CtaClassifier.InTraining]], [[CtaClassifier.InFull]]
-    * or 0).
+  /** Score of a non-empty normalized value whose hash is `hash`, whose
+    * `nGrams` trigrams' log-odds under this classifier sum to `llrSum`, and
+    * whose vocabulary membership under it is `member`
+    * ([[CtaClassifier.InTraining]], [[CtaClassifier.InFull]] or 0).
     */
-  private def scoreOf(f: CtaClassifier.Features, llrSum: Double, member: Byte): Double = {
-    if (f.value.isEmpty) return 0.0
+  private def scoreOf(hash: Long, nGrams: Int, llrSum: Double, member: Byte): Double = {
     val base =
-      if (member == CtaClassifier.InTraining) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, f.hash))
-      else if (member == CtaClassifier.InFull) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, f.hash))
-      else 0.5 * (1.0 / (1.0 + math.exp(-(llrSum / f.grams.length)))) // logistic squash of the mean trigram LLR
+      if (member == CtaClassifier.InTraining) 0.85 + 0.13 * Det.uniform(Det.combine(jitterSeed, hash))
+      else if (member == CtaClassifier.InFull) 0.45 + 0.30 * Det.uniform(Det.combine(jitterSeed, 0x2, hash))
+      else 0.5 * (1.0 / (1.0 + math.exp(-(llrSum / nGrams)))) // logistic squash of the mean trigram LLR
     // Per-value calibration noise: real neural CTA classifiers are not
     // cleanly banded per value, which is what defeats naive per-value
     // z-score thresholding (Example 2).
-    val noise = 0.16 * (Det.uniform(Det.combine(jitterSeed, 0x3, f.hash)) - 0.5)
+    val noise = 0.16 * (Det.uniform(Det.combine(jitterSeed, 0x3, hash)) - 0.5)
     math.min(1.0, math.max(0.0, base + noise))
   }
 }
@@ -71,39 +70,60 @@ object CtaClassifier {
   private val InTraining: Byte = 1
   private val InFull: Byte = 2
 
-  /** What every classifier reads of a value: its normalized form, that
-    * form's hash and its trigrams (none for the empty value, which scores 0).
-    */
-  private final class Features(val value: String, val hash: Long, val grams: Array[String])
+  /** A trigram's three UTF-16 units, packed into the low 48 bits. */
+  private val Packed: Long = 0xFFFFFFFFFFFFL
 
-  private def features(raw: String): Features = {
-    val v = DomainEval.normalize(raw)
-    if (v.isEmpty) new Features(v, 0L, Array.empty)
-    else new Features(v, Det.hashString(v), gramArray(v))
-  }
+  private def pack(g: String): Long =
+    (g.charAt(0).toLong << 32) | (g.charAt(1).toLong << 16) | g.charAt(2).toLong
 
-  /** Classifiers scored together: each value's [[Features]] are computed
-    * once, and its vocabulary membership and each of its trigrams are looked
-    * up once for all of them.
+  /** Classifiers scored together: each value is hashed, split into trigrams
+    * and looked up in the vocabularies once for all of them.
     * Every score, a single classifier's included, is computed here.
     * Classifier k's scores go to row `rows(k)` of the caller's matrix.
     */
   private[dists] final class Bank(classifiers: IndexedSeq[CtaClassifier], rows: Array[Int]) {
 
-    /** trigram -> its log-odds under each classifier, [[UnseenLogOdds]]
-      * where that classifier never saw it.
+    private val nC = classifiers.size
+
+    /** The classifiers' trigrams in an open-addressing table, each packed
+      * ([[pack]]) into its key: slot s holds `keys(s)` (-1 if empty), and
+      * `llrs(at(s) + k)` is that trigram's log-odds under classifier k,
+      * [[UnseenLogOdds]] where k never saw it. `unseenAt` is the row of a
+      * trigram in no table. Keys that are not 3 units long (the "^$" of an
+      * empty word) are left out: a non-empty value never produces them.
       */
-    private val logOdds: java.util.HashMap[String, Array[Double]] = {
-      val m = new java.util.HashMap[String, Array[Double]]()
+    private val (keys, at, llrs, unseenAt): (Array[Long], Array[Int], Array[Double], Int) = {
+      val byGram = new java.util.HashMap[java.lang.Long, Array[Double]]()
       classifiers.indices.foreach { k =>
         classifiers(k).triLogOdds.foreach { case (g, llr) =>
-          m.computeIfAbsent(g, _ => Array.fill(classifiers.size)(UnseenLogOdds))(k) = llr
+          if (g.length == 3) byGram.computeIfAbsent(pack(g), _ => Array.fill(nC)(UnseenLogOdds))(k) = llr
         }
       }
-      m
+      val cap = Integer.highestOneBit(math.max(2, byGram.size * 2) * 2 - 1)
+      val keys = Array.fill(cap)(-1L)
+      val at = new Array[Int](cap)
+      val llrs = new Array[Double]((byGram.size + 1) * nC)
+      var row = 0
+      byGram.forEach { (g, odds) =>
+        var s = slot(g, cap)
+        while (keys(s) != -1L) s = (s + 1) & (cap - 1)
+        keys(s) = g; at(s) = row * nC
+        System.arraycopy(odds, 0, llrs, row * nC, nC)
+        row += 1
+      }
+      java.util.Arrays.fill(llrs, row * nC, llrs.length, UnseenLogOdds)
+      (keys, at, llrs, row * nC)
     }
 
-    private val unseen: Array[Double] = Array.fill(classifiers.size)(UnseenLogOdds)
+    private def slot(key: Long, cap: Int): Int =
+      ((key * 0x9E3779B97F4A7C15L) >>> (64 - Integer.numberOfTrailingZeros(cap))).toInt
+
+    /** The row in `llrs` of the packed trigram `key`. */
+    private def rowOf(key: Long): Int = {
+      var s = slot(key, keys.length)
+      while (keys(s) != key && keys(s) != -1L) s = (s + 1) & (keys.length - 1)
+      if (keys(s) == key) at(s) else unseenAt
+    }
 
     /** normalized value -> its membership under each classifier, for the
       * values in some classifier's full or training vocabulary.
@@ -111,7 +131,7 @@ object CtaClassifier {
     private val membership: java.util.HashMap[String, Array[Byte]] = {
       val m = new java.util.HashMap[String, Array[Byte]]()
       def mark(vocab: Set[String], k: Int, member: Byte): Unit =
-        vocab.foreach(v => m.computeIfAbsent(v, _ => new Array[Byte](classifiers.size))(k) = member)
+        vocab.foreach(v => m.computeIfAbsent(v, _ => new Array[Byte](nC))(k) = member)
       classifiers.indices.foreach { k =>
         mark(classifiers(k).fullSet, k, InFull)
         mark(classifiers(k).trainSet, k, InTraining)
@@ -119,48 +139,50 @@ object CtaClassifier {
       m
     }
 
-    private val nowhere: Array[Byte] = new Array[Byte](classifiers.size)
+    private val nowhere: Array[Byte] = new Array[Byte](nC)
 
-    /** Writes classifier k's score of `values(j)` into `out(rows(k))(j)`,
-      * for every j in [from, until) and every k with `mask(rows(k))`.
+    /** Writes classifier k's score of the value normalized as `norm(t)` into
+      * `out(rows(k))(from + t)`, for every t and every k with `mask(rows(k))`.
+      * The empty value scores 0.
       */
-    def scoresInto(values: Array[String], from: Int, until: Int, mask: Array[Boolean],
-                   out: Array[Array[Double]]): Unit = {
-      val sums = new Array[Double](classifiers.size)
-      var j = from
-      while (j < until) {
-        val f = features(values(j))
-        java.util.Arrays.fill(sums, 0.0)
-        var g = 0
-        while (g < f.grams.length) {
-          val llr = logOdds.getOrDefault(f.grams(g), unseen)
+    def scoresInto(norm: Array[String], from: Int, mask: Array[Boolean], out: Array[Array[Double]]): Unit = {
+      val sums = new Array[Double](nC)
+      var t = 0
+      while (t < norm.length) {
+        val v = norm(t); val j = from + t
+        if (v.isEmpty) {
           var k = 0
-          while (k < sums.length) { sums(k) += llr(k); k += 1 }
-          g += 1
+          while (k < nC) { if (mask(rows(k))) out(rows(k))(j) = 0.0; k += 1 }
+        } else {
+          // The trigrams of "^v$" in order, one per char of v, each packed
+          // from the previous one and the next unit.
+          java.util.Arrays.fill(sums, 0.0)
+          var key = ('^'.toLong << 16) | v.charAt(0)
+          var i = 1
+          while (i <= v.length) {
+            key = ((key << 16) | (if (i < v.length) v.charAt(i) else '$')) & Packed
+            val r = rowOf(key)
+            var k = 0
+            while (k < nC) { sums(k) += llrs(r + k); k += 1 }
+            i += 1
+          }
+          val hash = Det.hashString(v)
+          val member = membership.getOrDefault(v, nowhere)
+          var k = 0
+          while (k < nC) {
+            if (mask(rows(k))) out(rows(k))(j) = classifiers(k).scoreOf(hash, v.length, sums(k), member(k))
+            k += 1
+          }
         }
-        val member = membership.getOrDefault(f.value, nowhere)
-        var k = 0
-        while (k < sums.length) {
-          if (mask(rows(k))) out(rows(k))(j) = classifiers(k).scoreOf(f, sums(k), member(k))
-          k += 1
-        }
-        j += 1
+        t += 1
       }
     }
   }
 
   /** Character trigrams over "^value$" (boundary-marked). */
-  def trigrams(v: String): Seq[String] = scala.collection.immutable.ArraySeq.unsafeWrapArray(gramArray(v))
-
-  private def gramArray(v: String): Array[String] = {
+  def trigrams(v: String): Seq[String] = {
     val s = "^" + v + "$"
-    if (s.length < 3) Array(s)
-    else {
-      val out = new Array[String](s.length - 2)
-      var i = 0
-      while (i < out.length) { out(i) = s.substring(i, i + 3); i += 1 }
-      out
-    }
+    if (s.length < 3) Seq(s) else (0 until s.length - 2).map(i => s.substring(i, i + 3))
   }
 
   /** Build a classifier for `domain`, trained on `trainFrac` of its common

@@ -1,5 +1,7 @@
 package repro.dists
 
+import java.util.Locale
+
 /** Definition 1 (paper Sec 3): a domain-evaluation function f_t(v) measures
   * the distance between a semantic type t and a value v. Smaller is
   * "more in-domain".
@@ -31,9 +33,13 @@ object DomainEval {
 
   val families: Seq[String] = Seq(Cta, Embedding, Pattern, Function)
 
-  /** Canonical value normalisation applied before every distance call:
-    * case-insensitive, whitespace-trimmed (tables in the wild mix case).
+  /** Canonical value normalisation read by the CTA, embedding and function
+    * families: case-insensitive, whitespace-trimmed (tables in the wild mix
+    * case). Case is mapped in `Locale.ROOT`, so distances do not depend on
+    * the JVM's default locale. [[EvalBank]] normalizes each value once per
+    * call for all three families; patterns read the raw value
+    * ([[Patterns.generalize]] only trims).
     */
   def normalize(v: String): String =
-    if (v == null) "" else v.trim.toLowerCase
+    if (v == null) "" else v.trim.toLowerCase(Locale.ROOT)
 }

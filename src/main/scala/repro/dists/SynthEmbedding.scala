@@ -23,36 +23,44 @@ import repro.util.Det
 final class SynthEmbedding private (
     val name: String,
     dim: Int,
-    tokenVecs: Map[String, Array[Double]],
-    phraseVecs: Map[String, Array[Double]],
+    tokenVecs: java.util.HashMap[String, Array[Double]],
+    phraseVecs: java.util.HashMap[String, Array[Double]],
     oovSigma: Double,
     globalScale: Double,
 ) {
 
   /** Embed a (raw) value; total function, never fails. */
-  def embed(raw: String): Array[Double] = {
-    val v = DomainEval.normalize(raw)
+  def embed(raw: String): Array[Double] = embedNormalized(DomainEval.normalize(raw))
+
+  /** [[embed]] of a value already normalized by [[DomainEval.normalize]]. */
+  private[dists] def embedNormalized(v: String): Array[Double] = {
+    val phrase = phraseVecs.get(v)
     val vec =
-      phraseVecs.get(v) match {
-        case Some(p) => p
-        case None =>
-          val toks = SynthEmbedding.tokenize(v)
-          if (toks.isEmpty) oovVector(v)
-          else {
-            val acc = new Array[Double](dim)
-            toks.foreach { t =>
-              val tv = tokenVecs.getOrElse(t, oovVector(t))
-              var i = 0
-              while (i < dim) { acc(i) += tv(i); i += 1 }
-            }
-            LinAlg.scale(acc, 1.0 / toks.length)
+      if (phrase != null) phrase
+      else {
+        val toks = SynthEmbedding.tokenize(v)
+        if (toks.isEmpty) oovVector(v)
+        else {
+          val acc = new Array[Double](dim)
+          var k = 0
+          while (k < toks.length) {
+            val known = tokenVecs.get(toks(k))
+            val tv = if (known != null) known else oovVector(toks(k))
+            var i = 0
+            while (i < dim) { acc(i) += tv(i); i += 1 }
+            k += 1
           }
+          LinAlg.scale(acc, 1.0 / toks.length)
+        }
       }
     LinAlg.scale(vec, globalScale)
   }
 
+  private val nameHash = Det.hashString(name)
+  private val oovHash = Det.hashString("oov")
+
   private def oovVector(t: String): Array[Double] = {
-    val s = Det.combine(Det.hashString(name), Det.hashString("oov"), Det.hashString(t))
+    val s = Det.combine(nameHash, oovHash, Det.hashString(t))
     val out = new Array[Double](dim)
     var i = 0
     while (i < dim) { out(i) = oovSigma * Det.gaussian(Det.combine(s, i.toLong)); i += 1 }
@@ -64,12 +72,24 @@ object SynthEmbedding {
 
   val Dim = 16
 
-  private val Whitespace = java.util.regex.Pattern.compile("\\s+")
-
-  /** The whitespace-separated tokens of `s`: `s.split("\\s+")` without
-    * recompiling the pattern, empty tokens dropped.
+  /** The whitespace-separated tokens of `s`, as `s.split("\\s+")` gives them
+    * with empty tokens dropped: the maximal runs of chars outside Java's
+    * `\s` class: space, \t, \n, \f, \r and the vertical tab U+000B.
     */
-  private[dists] def tokenize(s: String): Array[String] = Whitespace.split(s, 0).filter(_.nonEmpty)
+  private[dists] def tokenize(s: String): Array[String] = {
+    val out = scala.collection.mutable.ArrayBuffer.empty[String]
+    var i = 0
+    while (i < s.length) {
+      while (i < s.length && isSpace(s.charAt(i))) i += 1
+      val start = i
+      while (i < s.length && !isSpace(s.charAt(i))) i += 1
+      if (i > start) out += s.substring(start, i)
+    }
+    out.toArray
+  }
+
+  private def isSpace(c: Char): Boolean =
+    c == ' ' || c == '\t' || c == '\n' || c == '\u000B' || c == '\f' || c == '\r'
 
   private val CentroidSigma = 1.6
   private val OovSigma      = 1.8
@@ -92,34 +112,34 @@ object SynthEmbedding {
 
   /** Word-level GloVe-sim over the common heads of the NL domains. */
   def glove(): SynthEmbedding = {
-    val tokens = scala.collection.mutable.Map.empty[String, Array[Double]]
+    val tokens = new java.util.HashMap[String, Array[Double]]()
     Vocab.nlDomains.foreach { d =>
       d.common.foreach { w =>
         tokenize(w).foreach { tok =>
           // First domain to claim a token wins (e.g. "georgia" state/country).
-          if (!tokens.contains(tok))
-            tokens(tok) = noisyWord("glove", d.name, tok, sigma = 0.40, hardFrac = 0.10)
+          if (!tokens.containsKey(tok))
+            tokens.put(tok, noisyWord("glove", d.name, tok, sigma = 0.40, hardFrac = 0.10))
         }
       }
     }
-    new SynthEmbedding("glove", Dim, tokens.toMap, Map.empty, OovSigma, globalScale = 1.0)
+    new SynthEmbedding("glove", Dim, tokens, new java.util.HashMap(), OovSigma, globalScale = 1.0)
   }
 
   /** Phrase-level SBERT-sim over the full vocabularies of the NL domains. */
   def sbert(): SynthEmbedding = {
-    val phrases = scala.collection.mutable.Map.empty[String, Array[Double]]
-    val tokens  = scala.collection.mutable.Map.empty[String, Array[Double]]
+    val phrases = new java.util.HashMap[String, Array[Double]]()
+    val tokens  = new java.util.HashMap[String, Array[Double]]()
     Vocab.nlDomains.foreach { d =>
       d.all.foreach { w =>
-        if (!phrases.contains(w))
-          phrases(w) = noisyWord("sbert", d.name, w, sigma = 0.25, hardFrac = 0.08)
+        if (!phrases.containsKey(w))
+          phrases.put(w, noisyWord("sbert", d.name, w, sigma = 0.25, hardFrac = 0.08))
         tokenize(w).foreach { tok =>
-          if (!tokens.contains(tok))
-            tokens(tok) = noisyWord("sbert", d.name, tok, sigma = 0.30, hardFrac = 0.08)
+          if (!tokens.containsKey(tok))
+            tokens.put(tok, noisyWord("sbert", d.name, tok, sigma = 0.30, hardFrac = 0.08))
         }
       }
     }
-    new SynthEmbedding("sbert", Dim, tokens.toMap, phrases.toMap, OovSigma, globalScale = 0.25)
+    new SynthEmbedding("sbert", Dim, tokens, phrases, OovSigma, globalScale = 0.25)
   }
 }
 

@@ -22,33 +22,49 @@ object Validators {
   private val MonthDays = Array(31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
   /** M/d/yyyy, M/d/yy, or yyyy-MM-dd with real calendar bounds. */
-  def validateDate(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
+  def validateDate(raw: String): Boolean = date(DomainEval.normalize(raw))
+  def validateTime(raw: String): Boolean = time(DomainEval.normalize(raw))
+  def validateUrl(raw: String): Boolean = url(DomainEval.normalize(raw))
+  def validateEmail(raw: String): Boolean = email(DomainEval.normalize(raw))
+  def validateIp(raw: String): Boolean = ip(DomainEval.normalize(raw))
+
+  /** Luhn checksum over 13–19 digits (credit-card numbers, paper's [2]). */
+  def validateCreditCard(raw: String): Boolean = creditCard(DomainEval.normalize(raw))
+  def validateNumber(raw: String): Boolean = number(DomainEval.normalize(raw))
+  def validatePhone(raw: String): Boolean = phone(DomainEval.normalize(raw))
+
+  // The validators of normalized values. Before running its matcher, each
+  // rejects only values that its pattern cannot match: a first char that the
+  // pattern cannot start with (`\d` is [0-9], not Char.isDigit), a url
+  // without "http", an email without '@'.
+
+  private def startsWithDigit(v: String): Boolean = v.nonEmpty && v.charAt(0) >= '0' && v.charAt(0) <= '9'
+
+  private def date(v: String): Boolean = {
     def ok(y: Int, m: Int, d: Int): Boolean = {
       if (m < 1 || m > 12 || d < 1) return false
       val leap = (y % 4 == 0 && y % 100 != 0) || y % 400 == 0
       d <= (if (m == 2 && leap) 29 else MonthDays(m - 1))
     }
-    v match {
+    startsWithDigit(v) && (v match {
       case DateSlash(m, d, y) =>
         val year = if (y.length == 2) 1900 + y.toInt else y.toInt
         ok(year, m.toInt, d.toInt)
       case DateIso(y, m, d) => ok(y.toInt, m.toInt, d.toInt)
       case _                => false
-    }
+    })
   }
 
-  def validateTime(raw: String): Boolean = DomainEval.normalize(raw) match {
+  private def time(v: String): Boolean = startsWithDigit(v) && (v match {
     case Hms(h, m, s) => h.toInt < 24 && m.toInt < 60 && (s == null || s.toInt < 60)
     case _            => false
-  }
+  })
 
-  def validateUrl(raw: String): Boolean = Url.matcher(DomainEval.normalize(raw)).matches()
+  private def url(v: String): Boolean = v.startsWith("http") && Url.matcher(v).matches()
 
-  def validateEmail(raw: String): Boolean = Email.matcher(DomainEval.normalize(raw)).matches()
+  private def email(v: String): Boolean = v.indexOf('@') >= 0 && Email.matcher(v).matches()
 
-  def validateIp(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw)
+  private def ip(v: String): Boolean = {
     val parts = v.split("\\.", -1)
     parts.length == 4 && parts.forall { p =>
       p.nonEmpty && p.length <= 3 && p.forall(_.isDigit) && p.toInt <= 255 &&
@@ -56,9 +72,8 @@ object Validators {
     }
   }
 
-  /** Luhn checksum over 13–19 digits (credit-card numbers, paper's [2]). */
-  def validateCreditCard(raw: String): Boolean = {
-    val digits = CardSep.matcher(DomainEval.normalize(raw)).replaceAll("")
+  private def creditCard(v: String): Boolean = {
+    val digits = CardSep.matcher(v).replaceAll("")
     if (digits.length < 13 || digits.length > 19 || !digits.forall(_.isDigit)) return false
     var sum = 0
     var double = false
@@ -73,34 +88,45 @@ object Validators {
     sum % 10 == 0
   }
 
-  def validateNumber(raw: String): Boolean = {
-    val v = DomainEval.normalize(raw).replace(",", "")
-    v.nonEmpty && Number.matcher(v).matches()
+  private def number(v: String): Boolean = {
+    val s = if (v.indexOf(',') >= 0) v.replace(",", "") else v
+    s.nonEmpty && "0123456789+-.".indexOf(s.charAt(0)) >= 0 && Number.matcher(s).matches()
   }
 
-  def validatePhone(raw: String): Boolean = Phone.matcher(DomainEval.normalize(raw)).matches()
+  private def phone(v: String): Boolean =
+    v.nonEmpty && "0123456789+(".indexOf(v.charAt(0)) >= 0 && Phone.matcher(v).matches()
 
-  /** The 8 validation functions, named as in the paper's examples. */
-  val all: IndexedSeq[(String, String => Boolean)] = IndexedSeq(
-    "validate_date"        -> validateDate _,
-    "validate_time"        -> validateTime _,
-    "validate_url"         -> validateUrl _,
-    "validate_email"       -> validateEmail _,
-    "validate_ip"          -> validateIp _,
-    "validate_credit_card" -> validateCreditCard _,
-    "validate_number"      -> validateNumber _,
-    "validate_phone"       -> validatePhone _,
+  /** The 8 validation functions, named as in the paper's examples, each on
+    * a value already normalized by [[DomainEval.normalize]].
+    */
+  private[dists] val onNormalized: IndexedSeq[(String, String => Boolean)] = IndexedSeq(
+    "validate_date"        -> date _,
+    "validate_time"        -> time _,
+    "validate_url"         -> url _,
+    "validate_email"       -> email _,
+    "validate_ip"          -> ip _,
+    "validate_credit_card" -> creditCard _,
+    "validate_number"      -> number _,
+    "validate_phone"       -> phone _,
   )
+
+  /** The 8 validation functions on raw values. */
+  val all: IndexedSeq[(String, String => Boolean)] =
+    onNormalized.map { case (n, f) => n -> ((raw: String) => f(DomainEval.normalize(raw))) }
 }
 
-/** 0/1 distance from a validation function (Eq 4). */
-final class FunctionEval(name: String, fn: String => Boolean) extends DomainEval {
+/** 0/1 distance from a validation function (Eq 4). `onNormalized` takes
+  * the value's normalized form, which [[EvalBank]] computes once for every
+  * family that reads it.
+  */
+final class FunctionEval private (name: String, onNormalized: String => Boolean) extends DomainEval {
   override val id: String = s"fun:$name"
   override def family: String = DomainEval.Function
-  override def distance(v: String): Double = if (fn(v)) 0.0 else 1.0
+  override def distance(v: String): Double = normalizedDistance(DomainEval.normalize(v))
+  private[dists] def normalizedDistance(v: String): Double = if (onNormalized(v)) 0.0 else 1.0
 }
 
 object FunctionEval {
   def allEvals: IndexedSeq[FunctionEval] =
-    Validators.all.map { case (n, f) => new FunctionEval(n, f) }
+    Validators.onNormalized.map { case (n, f) => new FunctionEval(n, f) }
 }

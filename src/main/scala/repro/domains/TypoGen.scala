@@ -1,5 +1,7 @@
 package repro.domains
 
+import java.util.Locale
+
 import repro.util.Det
 
 /** Deterministic typo generator for error injection.
@@ -46,7 +48,7 @@ object TypoGen {
     * accidentally land on another valid value, which would not be an error).
     */
   def typoAvoiding(v: String, seed: Long, valid: Set[String]): String = {
-    def isValid(x: String) = valid.contains(x) || valid.contains(x.toLowerCase)
+    def isValid(x: String) = valid.contains(x) || valid.contains(x.toLowerCase(Locale.ROOT))
     var attempt = 0
     var out = typo(v, seed)
     while (isValid(out) && attempt < 16) {

@@ -267,7 +267,7 @@ object Vocab {
     */
   def genGene(seed: Long): String = {
     val style = Det.nextInt(Det.combine(seed, 0), 3)
-    val letters = "abcdefghijklmnopqrstuvwxyz".toUpperCase
+    val letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
     def ch(i: Int) = letters(Det.nextInt(Det.combine(seed, 100 + i.toLong), 26))
     style match {
       case 0 => (0 until 3 + Det.nextInt(Det.combine(seed, 1), 3)).map(ch).mkString +

@@ -5,7 +5,7 @@ import java.lang.Double.doubleToLongBits
 import org.scalacheck.{Arbitrary, Gen}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.domains.Vocab
+import repro.domains.{Vocab, VocabDomain}
 import repro.util.Det
 
 /** [[CtaClassifier.score]] as it was written before the classifiers shared
@@ -93,11 +93,34 @@ class CtaFeaturesSpec extends AnyFunSuite {
     val values = Array(split, unknown)
     val scores = Array.fill(classifiers.size)(new Array[Double](values.length))
     new CtaClassifier.Bank(classifiers, classifiers.indices.toArray)
-      .scoresInto(values, 0, values.length, Array.fill(classifiers.size)(true), scores)
+      .scoresInto(values.map(DomainEval.normalize), 0, Array.fill(classifiers.size)(true), scores)
     assert(classifiers.size == 24)
     for (k <- classifiers.indices; j <- values.indices)
       assert(doubleToLongBits(scores(k)(j)) == doubleToLongBits(PerCallCta.score(classifiers(k), values(j))),
         s"${classifiers(k).id} on '${values(j)}'")
+  }
+
+  test("packed trigrams score like the per-call scores on boundary chars, surrogates, one-char values and high chars") {
+    // Classifiers trained on such words, so that their trigrams are in the
+    // packed table: '^' and '$' inside a value, surrogate pairs, unpaired
+    // surrogates, and units >= U+8000, whose top bit is set.
+    val odd = IndexedSeq("a^b", "^^", "x$y$", "$^", "$", "q", "ü", "東京", "鿿a", "\u8000\u8001", "\uFFFF\uFFFE",
+      "😀x", "a\uD83D", "\uDE00b", "𝔘𝔫𝔦", "ab\uD800")
+    val dom = VocabDomain("odd", odd, IndexedSeq("^x$", "東"))
+    val own = IndexedSeq(CtaClassifier("sherlock", dom, 0.5), CtaClassifier("doduo", dom, 1.0))
+    assert(own.forall(_.triLogOdds.keys.exists(_.exists(_ >= '\u8000'))))
+    val values = odd ++ Seq("^", "$$", "^$", "a", "Z", "\u00e9", "東", "\uD83D", "\uDE00", "😀", "^a^", "京東", "X$", "$Y",
+      "\u8000", "\uFFFF", " ^A$ ", "𝔘", "鿿", "\u8001\u8000", "A^B", "\uD83D\uDE00x")
+    val all = own ++ classifiers
+    sameScores(values)
+    for (c <- own; v <- values)
+      assert(doubleToLongBits(c.score(v)) == doubleToLongBits(PerCallCta.score(c, v)), s"${c.id} score on '$v'")
+    val scores = Array.fill(all.size)(new Array[Double](values.length))
+    new CtaClassifier.Bank(all, all.indices.toArray)
+      .scoresInto(values.map(DomainEval.normalize).toArray, 0, Array.fill(all.size)(true), scores)
+    for (k <- all.indices; j <- values.indices)
+      assert(doubleToLongBits(scores(k)(j)) == doubleToLongBits(PerCallCta.score(all(k), values(j))),
+        s"${all(k).id} on '${values(j)}'")
   }
 
   test("bank rows of CTA classifiers mixed in any order among the other families equal the per-call scores") {

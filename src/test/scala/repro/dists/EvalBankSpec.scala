@@ -16,13 +16,20 @@ class EvalBankSpec extends AnyFunSuite {
     .map(new EmbeddingCentroidEval(EvalRegistry.gloveEmbedding, _)).toIndexedSeq
   private val sbert: IndexedSeq[DomainEval] = Seq("march", "phoenix", "blue", "omayra")
     .map(new EmbeddingCentroidEval(EvalRegistry.sbertEmbedding, _)).toIndexedSeq
+  // "[a-zA-Z]+" and "[a-zA-Z]+ \\d+" are what 'İ' and "Ayİ 7" generalize to;
+  // their lowercased forms, which end in a combining dot, generalize apart.
   private val patterns: IndexedSeq[DomainEval] =
-    IndexedSeq(new PatternEval("\\d+ [a-zA-Z]+"), new PatternEval("[a-zA-Z]+\\d+"), new PatternEval("\\d+/\\d+/\\d+"))
+    IndexedSeq("\\d+ [a-zA-Z]+", "[a-zA-Z]+\\d+", "\\d+/\\d+/\\d+", "[a-zA-Z]+", "[a-zA-Z]+ \\d+").map(new PatternEval(_))
   private val allEvals: IndexedSeq[DomainEval] = cta ++ glove ++ sbert ++ patterns ++ FunctionEval.allEvals
 
   // Vocabulary, machine-looking, null, empty, whitespace-only, mixed-case,
-  // padded, unicode and arbitrary strings.
+  // padded, unicode and arbitrary strings, and the edges of normalization:
+  // a vertical tab (trimmed, and `\s`), no-break and em spaces (neither),
+  // 'İ' (two chars once lowercased), and '^'/'$' (trigram boundary chars).
   private val genValue: Gen[String] = Gen.frequency(
+    1 -> Gen.oneOf("\u000B", "\u000Bjanuary\u000B", "a\u000Bb", "\u00A0seattle", "red\u00A0blue", "red\u2003blue",
+      "\u2003\u2003", "İ", "İstanbul", "Ayİ 7", "^", "$", "^$", "^January$", "a^b$c", "$12", "SeAtTlE", "GerMANY",
+      "OMAYRA", "12:30 PM", "HTTP://X.ORG", "A@B.COM"),
     4 -> Gen.oneOf(Vocab.months ++ Vocab.nlDomains.flatMap(_.common.take(5))),
     2 -> Gen.oneOf("12 oz", "3/10/2020", "item7", "a@b.com", "10.0.0.1", "https://x.org", "4111111111111111"),
     1 -> Gen.oneOf(null, "", " ", "\t \n", "JaNuArY", "  Seattle ", "SAN FRANCISCO", "febuary"),
@@ -80,6 +87,24 @@ class EvalBankSpec extends AnyFunSuite {
         }
       }
     }, 200)
+  }
+
+  test("distancesInto is bit-equal to distance when only pattern rows are live") {
+    val gen = for {
+      evals  <- genEvals
+      values <- genColumn
+    } yield (evals, values)
+    check(Prop.forAll(gen) { case (evals, values) =>
+      val rows = evals.map(_.isInstanceOf[PatternEval]).toArray
+      val out = Array.fill(evals.size)(Array.fill(values.length)(-7.25))
+      new EvalBank(evals).distancesInto(values, 0, values.length, rows, out)
+      evals.indices.forall { i =>
+        values.indices.forall { j =>
+          val want = if (rows(i)) evals(i).distance(values(j)) else -7.25
+          doubleToLongBits(out(i)(j)) == doubleToLongBits(want)
+        }
+      }
+    }, 100)
   }
 
   test("a bank with one embedding model matches per-evaluator distance") {

@@ -116,6 +116,48 @@ class ValidatorsEquivalenceSpec extends AnyFunSuite {
       "12/31/99", "4532 0151 1283 0366", "4532-0151-1283-0366", "١٢٣", "𝟙𝟚/𝟛/𝟚𝟘𝟚𝟘", "😀@x.com", "ǅemal"),
   )
 
+  // Strings at the edges of the checks that reject before a matcher runs:
+  // a leading sign, point or parenthesis, digits that are Char.isDigit but
+  // not `\d` (full-width, Arabic-Indic), commas, an "http" prefix, and '@'
+  // at position 0.
+  private val genEdge: Gen[String] = for {
+    lead  <- Gen.oneOf("", "+", "-", ".", "(", "+1 ", "+(", "-.", "１", "٣", "\uFF10", ",", ",,", "@", "http", "http://",
+      "https://", "HTTP://", "httpx://", " +", "\t-")
+    body  <- Gen.frequency(
+      3 -> Gen.oneOf("5", "12", "1.5e3", ".5", "5.", "334) 793-0000", "334-793-0000", "334.793.0000", "12/3/2020",
+        "2020-1-2", "12:30", "1:05:09", "x.org", "//x.co/a", "a@b.co", "@b.co", "1,234", "1,2,3.4", "e5", "١٢:٣٠", ""),
+      // Whole values that pass only through the edge of a check.
+      2 -> Gen.oneOf("(334) 793-0000", "+1 (334) 793-0000", "+13347930000", "-5", "+.5", ".5e-3", ",5", "1,000,000",
+        "http://x.org", "https://x.co/a", "a@b.co", "9/9/99", "0:00"),
+      1 -> genValue,
+    )
+    edit  <- Gen.choose(0, 4)
+    pos   <- Gen.choose(0, 20)
+  } yield {
+    val v = lead + (if (body == null) "" else body)
+    val at = if (v.isEmpty) 0 else pos % (v.length + 1)
+    edit match {
+      case 0 => v
+      case 1 => v.patch(at, ",", 0) // a comma anywhere
+      case 2 => v.map(c => if (c == '1') '１' else if (c == '3') '٣' else c) // isDigit, not \d
+      case 3 => "@" + v
+      case _ => v.toUpperCase(java.util.Locale.ROOT)
+    }
+  }
+
+  test("each validator equals its per-call compiled expression at the edges of its rejection checks") {
+    // The edges are not all rejections: each checked validator accepts some.
+    val sample = Gen.listOfN(2000, genEdge).pureApply(Gen.Parameters.default, Seed(23L))
+    Seq("validate_date", "validate_time", "validate_url", "validate_email", "validate_number", "validate_phone")
+      .foreach(n => assert(sample.exists(PerCallValidators.byName(n)), n))
+    val prop = Prop.forAll(genEdge) { v =>
+      Validators.all.forall { case (n, f) => f(v) == PerCallValidators.byName(n)(v) }
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(23L)), prop)
+    assert(result.passed, result.status)
+  }
+
   test("each validator equals its per-call compiled expression on random and adversarial strings") {
     assert(Validators.all.map(_._1).toSet == PerCallValidators.byName.keySet)
     val prop = Prop.forAll(genValue) { v =>
