@@ -16,8 +16,8 @@ class Table12TrainCorporaBench extends BenchBase {
 
   test("relational-trained Fine-Select beats spreadsheet-trained on real errors") {
     for (b <- Seq("st", "rt")) {
-      val rel = result.scores(("relational-tables", "Fine-Select", b, "real"))._2
-      val spr = result.scores(("spreadsheet-tables", "Fine-Select", b, "real"))._2
+      val rel = result.scores((("relational-tables", "Fine-Select"), b, "real"))._2
+      val spr = result.scores((("spreadsheet-tables", "Fine-Select"), b, "real"))._2
       assert(spr <= rel + 0.02, s"$b: $spr vs $rel")
     }
   }
@@ -25,8 +25,8 @@ class Table12TrainCorporaBench extends BenchBase {
   test("every variant trained on either corpus detects more as error rates rise") {
     for (c <- Seq("relational-tables", "spreadsheet-tables"); v <- Seq("Fine-Select");
          b <- Seq("st", "rt")) {
-      val real = result.scores((c, v, b, "real"))._2
-      val e20 = result.scores((c, v, b, "+20%"))._2
+      val real = result.scores(((c, v), b, "real"))._2
+      val e20 = result.scores(((c, v), b, "+20%"))._2
       assert(e20 >= real - 0.02, s"$c/$v/$b")
     }
   }

@@ -19,8 +19,8 @@ class Table7MethodAblationBench extends BenchBase {
     // that re-selection spends elsewhere (LP + randomized rounding noise);
     // the claim is that no family's removal *helps materially*.
     for (v <- Seq("no-CTA", "no-embedding", "no-pattern", "no-function"); b <- Seq("st", "rt")) {
-      val full = result.scores(("Fine-Select", b))._2
-      val abl  = result.scores((v, b))._2
+      val full = result.scores(("Fine-Select", b, "real"))._2
+      val abl  = result.scores((v, b, "real"))._2
       assert(abl <= full + 0.10, s"$v/$b: $abl vs full $full")
     }
   }
@@ -28,7 +28,7 @@ class Table7MethodAblationBench extends BenchBase {
   test("at least two families contribute measurably on some bench (paper: all four do)") {
     val contributing = Seq("no-CTA", "no-embedding", "no-pattern", "no-function").count { v =>
       Seq("st", "rt").exists { b =>
-        result.scores((v, b))._2 < result.scores(("Fine-Select", b))._2 - 0.005
+        result.scores((v, b, "real"))._2 < result.scores(("Fine-Select", b, "real"))._2 - 0.005
       }
     }
     assert(contributing >= 2, s"only $contributing families contribute")

@@ -18,7 +18,7 @@ object TableJob {
     "5"  -> (s => Tables.runTable5(s).rendered),
     "6"  -> (s => Tables.runTable6(s).rendered),
     "7"  -> (s => Tables.runTable7(s).rendered),
-    "8"  -> (s => Tables.runTable8(s).rendered),
+    "8"  -> (s => Tables.runTable8(s).scored.rendered),
     "9"  -> (s => Tables.runTable9(s).rendered),
     "12" -> (s => Tables.runTable12(s).rendered),
   )

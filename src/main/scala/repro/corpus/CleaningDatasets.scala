@@ -142,7 +142,7 @@ object CleaningDatasets {
     // Error rates per column are kept ~10% (as in the original benchmark,
     // where movies' 161 cell errors sit inside large columns): the SDC
     // pre-condition (m >= 0.85) must still fire on these columns.
-    val ids = (0 until 800).toVector.map(i => f"tt${1000000 + Det.nextInt(Det.combine(seedOf("mov-id"), i.toLong), 8999999)}%07d").distinct
+    val ids = (0 until 800).toVector.map(i => "tt%07d".formatLocal(Locale.ROOT, 1000000 + Det.nextInt(Det.combine(seedOf("mov-id"), i.toLong), 8999999))).distinct
     val idErrs = Vector("iron_man_3", "dark_tide", "the_avengers", "battleship_2012") ++
       (0 until 76).map(i => s"${Vocab.synthWord(Det.combine(seedOf("mov-iderr"), i.toLong), 2, 3)}_${Vocab.synthWord(Det.combine(seedOf("mov-iderr2"), i.toLong), 1, 2)}")
     val durs = (40 to 400).toVector.map(n => s"$n min")
@@ -175,7 +175,7 @@ object CleaningDatasets {
       val s = Det.combine(seedOf("ray-date"), i.toLong)
       s"${1 + Det.nextInt(Det.combine(s, 1), 12)}/${1 + Det.nextInt(Det.combine(s, 2), 28)}/${Det.nextInt(Det.combine(s, 3), 30)}"
     }.map { d => // two-digit years like "1/1/71"
-      val parts = d.split("/"); f"${parts(0)}/${parts(1)}/${parts(2).toInt}%02d"
+      val parts = d.split("/"); "%s/%s/%02d".formatLocal(Locale.ROOT, parts(0), parts(1), parts(2).toInt)
     }, missed = Seq("nan"), gt = true),
     col("rayyan", "article_title", draw("full_name", 50, "ray-title").map(t => s"a study of $t"), gt = true),
     col("rayyan", "article_language", Vector("english", "french", "german", "spanish", "portuguese"), gt = true),

@@ -38,6 +38,8 @@ object EvalRegistry {
 
   lazy val gloveEmbedding: SynthEmbedding = SynthEmbedding.glove()
   lazy val sbertEmbedding: SynthEmbedding = SynthEmbedding.sbert()
+  lazy val sherlockBank: IndexedSeq[CtaClassifier] = CtaClassifier.sherlockBank(Vocab.nlDomains)
+  lazy val doduoBank: IndexedSeq[CtaClassifier] = CtaClassifier.doduoBank(Vocab.nlDomains)
 
   /** Assemble the default registry: CTA, embedding, pattern, then function
     * evaluators, which fixes the candidate indices.
@@ -47,8 +49,7 @@ object EvalRegistry {
     * @param minedPatterns  corpus-mined character-class patterns
     */
   def default(centroidValues: Seq[String], minedPatterns: Seq[String]): EvalRegistry = {
-    val cta = (CtaClassifier.sherlockBank(Vocab.nlDomains) ++
-               CtaClassifier.doduoBank(Vocab.nlDomains)).toIndexedSeq
+    val cta = sherlockBank ++ doduoBank
     val emb: IndexedSeq[DomainEval] = centroidValues.distinct.flatMap { c =>
       Seq(new EmbeddingCentroidEval(gloveEmbedding, c),
           new EmbeddingCentroidEval(sbertEmbedding, c))

@@ -1,12 +1,13 @@
 package repro.experiments
 
+import java.util.Locale
+
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.AutoTest.TrainedModel
 import repro.core.{AutoTest, Prediction, Predictor, SdcModel}
 import repro.corpus.{BenchGen, CorpusGen, TableColumn}
-import repro.dists.{CtaClassifier, EvalRegistry}
-import repro.domains.Vocab
+import repro.dists.EvalRegistry
 import repro.eval.PrCurve
 import repro.outlier.OutlierDetectors
 import repro.util.Det
@@ -73,8 +74,8 @@ object Experiments {
       Console.err.println(s"[experiments] training Auto-Test on $corpusName ($CorpusCols cols)...")
       val t0 = System.nanoTime()
       val m = AutoTest.train(spark, corpus(corpusName), trainConfig)
-      Console.err.println(f"[experiments] trained on $corpusName in ${(System.nanoTime() - t0) / 1e9}%.1f s: " +
-        s"|R_all|=${m.assessed.size} |coarse|=${m.coarse.selected.size} |fine|=${m.fine.selected.size}")
+      Console.err.println("[experiments] trained on %s in %.1f s: |R_all|=%d |coarse|=%d |fine|=%d".formatLocal(Locale.ROOT,
+        corpusName, (System.nanoTime() - t0) / 1e9, m.assessed.size, m.coarse.selected.size, m.fine.selected.size))
       m
     })
 
@@ -121,8 +122,8 @@ object Experiments {
       ds.map(d => new Baseline(g, d.name, d, realOnly))
     Variants ++
       group("Column-type")(
-        new BankZScore("Sherlock", CtaClassifier.sherlockBank(Vocab.nlDomains)),
-        new BankZScore("Doduo", CtaClassifier.doduoBank(Vocab.nlDomains)),
+        new BankZScore("Sherlock", EvalRegistry.sherlockBank),
+        new BankZScore("Doduo", EvalRegistry.doduoBank),
         new EmbeddingZScore("Glove", EvalRegistry.gloveEmbedding),
         new EmbeddingZScore("SentenceBERT", EvalRegistry.sbertEmbedding),
         new RegexZScore,
@@ -173,7 +174,13 @@ object Experiments {
 
   // ------------------------------------------------------------- formatting
 
-  def fmtPair(p: (Double, Double)): String = f"${p._1}%.2f, ${p._2}%.2f"
+  /** `x` with `digits` decimals, formatted in `Locale.ROOT`: every number
+    * in a rendered table goes through here, so no table reads the JVM's
+    * default locale.
+    */
+  def fmt(x: Double, digits: Int): String = s"%.${digits}f".formatLocal(Locale.ROOT, x)
+
+  def fmtPair(p: (Double, Double)): String = s"${fmt(p._1, 2)}, ${fmt(p._2, 2)}"
 
   def table(header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows

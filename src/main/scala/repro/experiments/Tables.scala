@@ -1,5 +1,7 @@
 package repro.experiments
 
+import java.util.Locale
+
 import org.apache.spark.sql.SparkSession
 import repro.core.{Prediction, Predictor, SdcModel}
 import repro.corpus.{CleaningDatasets, ColumnStore, TableColumn}
@@ -12,6 +14,12 @@ import repro.dists.DomainEval
 object Tables {
 
   import Experiments._
+
+  /** A scored table: (row key, bench, setting) -> (F1@P=0.8, PR-AUC), and
+    * the rendered table. Tables 4, 6, 7 and 12 return one; Table 8 keeps its
+    * rule counts next to it.
+    */
+  final case class Scored[K](scores: Map[(K, String, String), (Double, Double)], rendered: String)
 
   /** The (bench, setting) grid of Tables 4, 6 and 12, in column order;
     * Tables 7 and 8 score its real-error cells.
@@ -36,7 +44,7 @@ object Tables {
     * and one "F1, AUC" cell per grid cell, "-" where a row is not scored.
     */
   private def scoreGrid[K](title: String, header: Seq[String], grid: Seq[(String, String)],
-                           rows: Seq[Row[K]]): (Map[(K, String, String), (Double, Double)], String) = {
+                           rows: Seq[Row[K]]): Scored[K] = {
     val tag = title.takeWhile(_ != ':')
     val scores = (for {
       r <- rows
@@ -44,12 +52,12 @@ object Tables {
     } yield {
       val t0 = System.nanoTime()
       val p = score(bench, setting)(r.predict)
-      Console.err.println(f"[$tag] ${r.labels.mkString(" ")}%-30s $bench/$setting%-6s (f1, auc) = " +
-        f"${fmtPair(p)} [${(System.nanoTime() - t0) / 1e9}%.3f s]")
+      Console.err.println("[%s] %-30s %s/%-6s (f1, auc) = %s [%.3f s]".formatLocal(Locale.ROOT,
+        tag, r.labels.mkString(" "), bench, setting, fmtPair(p), (System.nanoTime() - t0) / 1e9))
       (r.key, bench, setting) -> p
     }).toMap
     val body = rows.map(r => r.labels ++ grid.map { case (b, s) => scores.get((r.key, b, s)).fold("-")(fmtPair) })
-    (scores, title + "\n" + table(header, body))
+    Scored(scores, title + "\n" + table(header, body))
   }
 
   // ---------------------------------------------------------------- Table 3
@@ -64,26 +72,20 @@ object Tables {
       Seq("Corpus", "total # cols", "mean # vals", "median # vals", "mean # dist vals", "median # dist vals"),
       CorpusNames.map { n =>
         val s = stats(n)
-        Seq(n, s.nColumns.toString, f"${s.meanVals}%.2f", f"${s.medianVals}%.0f",
-          f"${s.meanDistinct}%.2f", f"${s.medianDistinct}%.0f")
+        Seq(n, s.nColumns.toString, fmt(s.meanVals, 2), fmt(s.medianVals, 0),
+          fmt(s.meanDistinct, 2), fmt(s.medianDistinct, 0))
       })
     Table3Result(stats, "Table 3: training table corpora statistics\n" + rendered)
   }
 
   // ---------------------------------------------------------------- Table 4
 
-  final case class Table4Result(
-      /** (method, bench, setting) -> (F1@P=0.8, PR-AUC) */
-      scores: Map[(String, String, String), (Double, Double)],
-      rendered: String,
-  )
-
-  def runTable4(spark: SparkSession): Table4Result = {
+  /** Keyed by (method, bench, setting). */
+  def runTable4(spark: SparkSession): Scored[String] = {
     val rows = methods.map(m => Row(m.name, Seq(m.group, m.name), m.predictions(spark, _), m.realOnly))
-    val (scores, rendered) = scoreGrid(
+    scoreGrid(
       "Table 4: quality comparisons (F1@P=0.8, PR-AUC) on ST-Bench and RT-Bench",
       Seq("Group", "Method") ++ GridHeader, Grid, rows)
-    Table4Result(scores, rendered)
   }
 
   // ---------------------------------------------------------------- Table 5
@@ -104,41 +106,32 @@ object Tables {
     }
     val latencies = latencyPerColumn(variants.map(_._2), stBench)
     val rows = variants.lazyZip(quality).lazyZip(latencies).map { case ((name, _), ((stF1, stAuc), (rtF1, rtAuc)), lat) =>
-      Console.err.println(f"[table5] B_size=$name%-22s st=($stF1%.2f,$stAuc%.2f) rt=($rtF1%.2f,$rtAuc%.2f) $lat%.6f s/col")
+      Console.err.println("[table5] B_size=%-22s st=(%.2f,%.2f) rt=(%.2f,%.2f) %.6f s/col".formatLocal(Locale.ROOT,
+        name, stF1, stAuc, rtF1, rtAuc, lat))
       Table5Row(name, stF1, stAuc, rtF1, rtAuc, lat)
     }
     val rendered = table(
       Seq("B_size", "ST F1@P=0.8", "ST PR-AUC", "RT F1@P=0.8", "RT PR-AUC", "sec/col"),
-      rows.map(r => Seq(r.bSize, f"${r.stF1}%.2f", f"${r.stAuc}%.2f",
-        f"${r.rtF1}%.2f", f"${r.rtAuc}%.2f", f"${r.secPerCol}%.4f")))
+      rows.map(r => Seq(r.bSize, fmt(r.stF1, 2), fmt(r.stAuc, 2), fmt(r.rtF1, 2), fmt(r.rtAuc, 2),
+        fmt(r.secPerCol, 4))))
     Table5Result(rows,
       "Table 5: Fine-Select quality and latency vs constraint-count budget B_size\n" + rendered)
   }
 
   // ---------------------------------------------------------------- Table 6
 
-  final case class Table6Result(
-      /** (corpus, bench, setting) -> (F1, AUC) for Fine-Select */
-      scores: Map[(String, String, String), (Double, Double)],
-      rendered: String,
-  )
-
-  def runTable6(spark: SparkSession): Table6Result = {
+  /** Fine-Select, keyed by (training corpus, bench, setting). */
+  def runTable6(spark: SparkSession): Scored[String] = {
     val rows = CorpusNames.map(c => modelRow(spark, c, c)(trained(spark, c).fineModel))
-    val (scores, rendered) = scoreGrid(
+    scoreGrid(
       "Table 6: Fine-Select sensitivity to the training corpus",
       Seq("Training corpus") ++ GridHeader, Grid, rows)
-    Table6Result(scores, rendered)
   }
 
   // ---------------------------------------------------------------- Table 7
 
-  final case class Table7Result(
-      scores: Map[(String, String), (Double, Double)], // (variant, bench) -> (F1, AUC)
-      rendered: String,
-  )
-
-  def runTable7(spark: SparkSession): Table7Result = {
+  /** Keyed by (variant, bench, "real"). */
+  def runTable7(spark: SparkSession): Scored[String] = {
     val m = trained(spark, "relational-tables")
     val variants: Seq[(String, SdcModel)] = Seq(
       FineSelect.name -> m.fineModel) ++
@@ -148,20 +141,16 @@ object Tables {
           val sel = m.selectSubset(a => m.registry.byId(a.sdc.evalId).family != family)
           label -> new SdcModel(sel.selected.map(_.sdc), m.registry)
         }
-    val (scores, rendered) = scoreGrid(
+    scoreGrid(
       "Table 7: ablation — contribution of each column-type detection family (Fine-Select)",
       Seq("Variant", "ST-Bench", "RT-Bench"), RealGrid,
       variants.map { case (label, model) => modelRow(spark, label, label)(model) })
-    Table7Result(scores.map { case ((label, b, _), p) => (label, b) -> p }, rendered)
   }
 
   // ---------------------------------------------------------------- Table 8
 
-  final case class Table8Result(
-      scores: Map[(String, String), (Double, Double)],
-      ruleCounts: Map[String, Int],
-      rendered: String,
-  )
+  /** Scores keyed by (variant, bench, "real"), and each variant's rule count. */
+  final case class Table8Result(scored: Scored[String], ruleCounts: Map[String, Int])
 
   def runTable8(spark: SparkSession): Table8Result = {
     val m = trained(spark, "relational-tables")
@@ -173,12 +162,11 @@ object Tables {
       "no Cohen's h" -> new SdcModel(
         m.reassess(base.copy(useCohensH = false)).map(_.sdc), m.registry),
     )
-    val (scores, rendered) = scoreGrid(
+    val scored = scoreGrid(
       "Table 8: ablation — Wilson score interval and Cohen's h (All-Constraints)",
       Seq("Variant", "# rules", "ST-Bench", "RT-Bench"), RealGrid,
       variants.map { case (l, model) => modelRow(spark, l, l, model.size.toString)(model) })
-    Table8Result(scores.map { case ((l, b, _), p) => (l, b) -> p },
-      variants.map { case (l, model) => l -> model.size }.toMap, rendered)
+    Table8Result(scored, variants.map { case (l, model) => l -> model.size }.toMap)
   }
 
   // ------------------------------------------------------- Table 9 (+10/11)
@@ -219,8 +207,8 @@ object Tables {
           val fps = preds.keySet -- c.allErrors
           if (fps.isEmpty) coveredCorrect += 1
           val best = covering.maxBy(_.confidence)
-          listings10 += f"$ds%-9s ${c.column}%-20s SDC(${best.evalId}, dIn=${best.dIn}%.2f, " +
-            f"dOut=${best.dOut}%.2f, m=${best.m}%.2f, conf=${best.confidence}%.2f)" +
+          listings10 += "%-9s %-20s SDC(%s, dIn=%.2f, dOut=%.2f, m=%.2f, conf=%.2f)".formatLocal(Locale.ROOT,
+            ds, c.column, best.evalId, best.dIn, best.dOut, best.m, best.confidence) +
             (if (c.coveredByExistingGt) "" : String else "  [no existing constraint]")
         }
         det += preds.size
@@ -228,7 +216,8 @@ object Tables {
         adjusted += preds.keySet.count(c.allErrors.contains)
         val newlyFound = preds.keySet.intersect(c.missedErrors)
         newlyFound.foreach { v =>
-          listings11 += f"$ds%-9s ${c.column}%-20s '$v' (error missed by existing ground truth)"
+          listings11 += "%-9s %-20s '%s' (error missed by existing ground truth)".formatLocal(Locale.ROOT,
+            ds, c.column, v)
         }
       }
       Table9Dataset(ds, cols.size, cols.count(_.coveredByExistingGt), covered,
@@ -242,18 +231,19 @@ object Tables {
     val sumDet = tot.map(_.cellDetections).sum
     val sumStrict = tot.map(_.cellStrictCorrect).sum
     val sumAdj = tot.map(_.cellAdjustedCorrect).sum
+    def pct(x: Double) = fmt(x, 0) + "%"
     val rows = Seq(
       row("# total categorical cols", _.nCols.toString, tot.map(_.nCols).sum.toString),
       row("# cols covered by existing GT", _.nCoveredByGt.toString, tot.map(_.nCoveredByGt).sum.toString),
       row("Coverage: # cols with new SDCs", _.nCoveredBySdc.toString, tot.map(_.nCoveredBySdc).sum.toString),
       row("Precision: % new SDCs correct",
-        d => d.columnPrecision.map(p => f"${p * 100}%.0f%%").getOrElse("-"),
-        f"${100.0 * tot.flatMap(d => d.columnPrecision.map(_ * d.nCoveredBySdc)).sum / math.max(1, tot.map(_.nCoveredBySdc).sum)}%.0f%%"),
+        d => d.columnPrecision.map(p => pct(p * 100)).getOrElse("-"),
+        pct(100.0 * tot.flatMap(d => d.columnPrecision.map(_ * d.nCoveredBySdc)).sum / math.max(1, tot.map(_.nCoveredBySdc).sum))),
       row("True-positives: # detected errors", _.cellDetections.toString, sumDet.toString),
       row("Precision: % detections correct",
         d => if (d.cellDetections == 0) "-"
-             else f"${100.0 * d.cellStrictCorrect / d.cellDetections}%.0f%% (${100.0 * d.cellAdjustedCorrect / d.cellDetections}%.0f%%)",
-        if (sumDet == 0) "-" else f"${100.0 * sumStrict / sumDet}%.0f%% (${100.0 * sumAdj / sumDet}%.0f%%)"),
+             else s"${pct(100.0 * d.cellStrictCorrect / d.cellDetections)} (${pct(100.0 * d.cellAdjustedCorrect / d.cellDetections)})",
+        if (sumDet == 0) "-" else s"${pct(100.0 * sumStrict / sumDet)} (${pct(100.0 * sumAdj / sumDet)})"),
     )
     val t10 = listings10.result()
     val t11 = listings11.result()
@@ -268,17 +258,12 @@ object Tables {
 
   // --------------------------------------------------------- Table 12 (App A)
 
-  final case class Table12Result(
-      scores: Map[(String, String, String, String), (Double, Double)],
-      rendered: String,
-  )
-
-  def runTable12(spark: SparkSession): Table12Result = {
+  /** Keyed by ((training corpus, variant), bench, setting). */
+  def runTable12(spark: SparkSession): Scored[(String, String)] = {
     val rows = for (c <- Seq("relational-tables", "spreadsheet-tables"); v <- Variants)
       yield modelRow(spark, (c, v.name), c, v.name)(v.model(trained(spark, c)))
-    val (scores, rendered) = scoreGrid(
+    scoreGrid(
       "Table 12 (Appendix A): algorithm performance by training corpus",
       Seq("Trained on", "Method") ++ GridHeader, Grid, rows)
-    Table12Result(scores.map { case (((c, v), b, s), p) => (c, v, b, s) -> p }, rendered)
   }
 }

@@ -1,9 +1,5 @@
 package repro
 
-import java.nio.file.{Files, Path, Paths}
-
-import scala.jdk.CollectionConverters._
-
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Where the program may use Spark, and that it reads no environment
@@ -11,7 +7,6 @@ import org.scalatest.funsuite.AnyFunSuite
   * (`ColumnStore.toDf`) and runs the tables (`TableJob`); the other files
   * below keep a `SparkSession` parameter or a DataFrame adapter that the
   * benchmark harness calls (DESIGN §3, "Where Spark remains, and why").
-  * Run from the repository root, as sbt runs the tests.
   */
 class SparkImportsSpec extends AnyFunSuite {
 
@@ -26,13 +21,7 @@ class SparkImportsSpec extends AnyFunSuite {
     "src/main/scala/repro/experiments/Experiments.scala",
     "src/main/scala/repro/experiments/Tables.scala")
 
-  /** Each program source file, relative to the root, with its lines. */
-  private lazy val sources: Seq[(String, Seq[String])] =
-    Seq("src/main/scala", "jobs").flatMap { dir =>
-      val files = Files.walk(Paths.get(dir))
-      try files.iterator.asScala.filter(_.toString.endsWith(".scala")).toList
-      finally files.close()
-    }.map((p: Path) => p.toString.replace('\\', '/') -> Files.readAllLines(p).asScala.toSeq)
+  private def sources = ProgramSources.all
 
   private def sparkLines(prefix: String): Seq[(String, String)] =
     for ((f, lines) <- sources if f.startsWith(prefix); l <- lines if l.contains("org.apache.spark")) yield (f, l.trim)

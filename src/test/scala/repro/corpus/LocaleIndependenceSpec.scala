@@ -5,15 +5,17 @@ import java.util.Locale.Category
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dists.DomainEval
+import repro.experiments.Experiments
 
 /** Case mapping and number formatting do not read the JVM's default locale:
   * under tr-TR, whose case rules map 'I' to dotless 'ı' and 'i' to 'İ' and
-  * whose decimal separator is ',', values normalize and generate as in the
-  * default locale.
+  * whose decimal separator is ',', and under th-TH with Thai digits, values
+  * normalize, generate and render as in the default locale.
   */
 class LocaleIndependenceSpec extends AnyFunSuite {
 
   private val turkish = Locale.forLanguageTag("tr-TR")
+  private val thaiDigits = Locale.forLanguageTag("th-TH-u-nu-thai")
 
   /** Runs `body` with every default locale category set to `l`, and restores them. */
   private def under[A](l: Locale)(body: => A): A = {
@@ -49,5 +51,20 @@ class LocaleIndependenceSpec extends AnyFunSuite {
     assert(tr._2 == default._2)
     assert(tr._3 == default._3)
     assert(tr._4 == default._4)
+  }
+
+  test("generated data and rendered numbers equal the default-locale ones under Thai digits") {
+    assert("%d".formatLocal(thaiDigits, 1234567) != "1234567") // the locale does remap
+    def rendered = (Experiments.fmtPair((0.5, 0.666)), Experiments.fmt(1234.5, 4),
+      Experiments.table(Seq("a", "bb"), Seq(Seq("0.76", "1234"))))
+    val default = (generated, rendered)
+    val th = under(thaiDigits)((generated, rendered))
+    assert(Locale.getDefault != thaiDigits)
+    assert(th._1._1 == default._1._1)
+    assert(th._1._2 == default._1._2)
+    assert(th._1._3 == default._1._3)
+    assert(th._1._4 == default._1._4)
+    assert(th._2 == default._2)
+    assert(default._2._1 == "0.50, 0.67")
   }
 }

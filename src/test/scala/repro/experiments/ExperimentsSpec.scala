@@ -67,6 +67,8 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("fmtPair renders two decimals") {
     assert(Experiments.fmtPair((0.5, 0.666)) == "0.50, 0.67")
+    // fmt, which fmtPair is built on, rounds half up to any number of decimals
+    assert(Experiments.fmt(12.5, 0) == "13" && Experiments.fmt(1.2345e-4, 4) == "0.0001")
   }
 
   test("table formatting aligns columns") {
