@@ -202,6 +202,7 @@ object Selection {
     lpCands.indices.foreach(i => candPos(lpCands(i)) = i)
     val liveK = new Array[Array[Int]](groups.length)
     val liveW = new Array[Int](groups.length)
+    val liveIdx = new Array[Int](groups.length) // a live group's LP row
     var ng = 0
     gi = 0
     while (gi < groups.length) {
@@ -216,6 +217,7 @@ object Selection {
         while (i < k.length) { val pos = candPos(k(i)); if (pos >= 0) { kl(live) = pos; live += 1 }; i += 1 }
         liveK(ng) = kl
         liveW(ng) = kW(groups(gi))
+        liveIdx(gi) = ng
         ng += 1
       }
       gi += 1
@@ -245,41 +247,62 @@ object Selection {
     val lp = Simplex.maximize(obj, rows.result().toArray, rhs.result().toArray, Array.fill(n)(1.0))
 
     // --- randomized rounding (Algorithm 1 lines 4-7, best-of-trials) ------
+    // A uniform in [0, 1) is below x_i always at x_i >= 1 and never at
+    // x_i <= 0, so only a fractional x_i is drawn; what the x_i = 1 picks
+    // cover is counted once. Weights are integers, so a trial's covered
+    // weight, a sum in any order, converts to the same `Double`.
     val xFrac = lp.x.take(nx)
-    def evalPick(picked: Array[Boolean]): (Double, Boolean) = {
-      var covered = 0.0
-      for (g <- 0 until ng) {
-        val k = liveK(g)
-        var i = 0
-        while (i < k.length && !picked(k(i))) i += 1
-        if (i < k.length) covered += liveW(g)
-      }
-      var size = 0
-      var fprSum = 0.0 // summed in index order
-      for (i <- 0 until nx) if (picked(i)) { size += 1; fprSum += fpr(i) }
-      (covered, size <= cfg.bSize && fprSum <= cfg.bFpr + 1e-12)
+    // x_i's groups: its signature's, all live since they hold x_i.
+    val groupsOf = Array.tabulate(nx)(i => sigOf(lpCands(i)).map(liveIdx))
+    /** Marks the groups of x_i not yet marked `stamp`; returns their weight. */
+    def cover(i: Int, mark: Array[Int], stamp: Int): Long = {
+      var w = 0L
+      val gs = groupsOf(i)
+      var k = 0
+      while (k < gs.length) { val g = gs(k); if (mark(g) < stamp) { mark(g) = stamp; w += liveW(g) }; k += 1 }
+      w
     }
-    var best: Array[Boolean] = null
+    def picks(t: Int, i: Int): Boolean =
+      xFrac(i) >= 1.0 || xFrac(i) > 0.0 && Det.uniform(Det.combine(cfg.seed, t.toLong, i.toLong)) < xFrac(i)
+    val live = (0 until nx).filter(xFrac(_) > 0.0).toArray // picked in some trial, in index order
+    val mark = new Array[Int](ng) // Int.MaxValue: covered at x = 1; else the last trial + 1 covering it
+    var fixedW = 0L
+    for (i <- live if xFrac(i) >= 1.0) fixedW += cover(i, mark, Int.MaxValue)
+    var bestTrial = -1
     var bestObj = -1.0
     var t = 0
     while (t < RoundingTrials) {
-      val picked = Array.tabulate(nx) { i =>
-        Det.uniform(Det.combine(cfg.seed, t.toLong, i.toLong)) < xFrac(i)
+      var covered = fixedW
+      var size = 0
+      var fprSum = 0.0 // summed in index order
+      var q = 0
+      while (q < live.length) {
+        val i = live(q)
+        if (picks(t, i)) {
+          size += 1
+          fprSum += fpr(i)
+          if (xFrac(i) < 1.0) covered += cover(i, mark, t + 1)
+        }
+        q += 1
       }
-      val (o, feasible) = evalPick(picked)
-      if (feasible && o > bestObj) { bestObj = o; best = picked }
+      if (size <= cfg.bSize && fprSum <= cfg.bFpr + 1e-12 && covered.toDouble > bestObj) {
+        bestObj = covered.toDouble; bestTrial = t
+      }
       t += 1
     }
-    if (best == null) { // all trials infeasible: take deterministic top-prob subset
-      val order = (0 until nx).sortBy(i => -xFrac(i))
-      val picked = new Array[Boolean](nx)
-      var fprSum = 0.0; var size = 0
-      order.foreach { i =>
-        if (size < cfg.bSize && fprSum + fpr(i) <= cfg.bFpr) { picked(i) = true; size += 1; fprSum += fpr(i) }
+    val best: Array[Boolean] =
+      if (bestTrial >= 0) Array.tabulate(nx)(picks(bestTrial, _))
+      else { // all trials infeasible: take deterministic top-prob subset
+        val order = (0 until nx).sortBy(i => -xFrac(i))
+        val picked = new Array[Boolean](nx)
+        var fprSum = 0.0; var size = 0
+        order.foreach { i =>
+          if (size < cfg.bSize && fprSum + fpr(i) <= cfg.bFpr) { picked(i) = true; size += 1; fprSum += fpr(i) }
+        }
+        val fresh = new Array[Int](ng)
+        bestObj = (0 until nx).filter(picked).map(cover(_, fresh, 1)).sum.toDouble
+        picked
       }
-      best = picked
-      bestObj = evalPick(picked)._1
-    }
 
     val selected = (0 until nx).collect { case i if best(i) => candidates(lpCands(i)) }
     SelectionResult(selected.toIndexedSeq, lp.objective, bestObj, lp.iterations)

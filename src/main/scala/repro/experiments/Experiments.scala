@@ -180,6 +180,9 @@ object Experiments {
     */
   def fmt(x: Double, digits: Int): String = s"%.${digits}f".formatLocal(Locale.ROOT, x)
 
+  /** `x` to `digits` significant digits, in `Locale.ROOT`. */
+  def fmtSig(x: Double, digits: Int): String = s"%.${digits}g".formatLocal(Locale.ROOT, x)
+
   def fmtPair(p: (Double, Double)): String = s"${fmt(p._1, 2)}, ${fmt(p._2, 2)}"
 
   def table(header: Seq[String], rows: Seq[Seq[String]]): String = {

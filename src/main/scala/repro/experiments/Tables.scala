@@ -111,9 +111,9 @@ object Tables {
       Table5Row(name, stF1, stAuc, rtF1, rtAuc, lat)
     }
     val rendered = table(
-      Seq("B_size", "ST F1@P=0.8", "ST PR-AUC", "RT F1@P=0.8", "RT PR-AUC", "sec/col"),
+      Seq("B_size", "ST F1@P=0.8", "ST PR-AUC", "RT F1@P=0.8", "RT PR-AUC", "µs/col"),
       rows.map(r => Seq(r.bSize, fmt(r.stF1, 2), fmt(r.stAuc, 2), fmt(r.rtF1, 2), fmt(r.rtAuc, 2),
-        fmt(r.secPerCol, 4))))
+        fmtSig(r.secPerCol * 1e6, 3))))
     Table5Result(rows,
       "Table 5: Fine-Select quality and latency vs constraint-count budget B_size\n" + rendered)
   }

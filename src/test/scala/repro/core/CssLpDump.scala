@@ -11,7 +11,7 @@ import repro.lp.LpInstance
 import repro.perfbench.Inputs
 import repro.util.Det
 
-/** Writes the CSS LPs of `SimplexSpec`'s regression tests to
+/** Writes the selection LPs of `SimplexSpec`'s regression tests to
   * `src/test/resources/lp/`, from the generators:
   *
   *  - `css-600-reseeded`: the 600-column relational corpus re-seeded with
@@ -19,10 +19,13 @@ import repro.util.Det
   *    B_size 500 (`perfbench/README.md`, "Known defect");
   *  - `css-reference-seed42`, `css-reference-seed43`: the reference scale of
   *    `bench/results` (3,000 columns, `Inputs.ReferenceConfig`) at training
-  *    seeds 42 and 43.
+  *    seeds 42 and 43;
+  *  - `css-perfbench`, `fss-perfbench`: the CSS and FSS (δ = 1e-3) LPs of
+  *    perfbench's pinned corpus (`Inputs.corpus()`, `Inputs.Config`) at
+  *    B_size 500, whose objectives `Recorded` holds.
   *
   * Run from the repository root with `sbt "Test/runMain repro.core.CssLpDump [name …]"`
-  * (no name: all three). The reference trainings take about a minute each
+  * (no name: all five). The reference trainings take about a minute each
   * and need a 4 GB heap.
   */
 object CssLpDump {
@@ -33,10 +36,13 @@ object CssLpDump {
       AutoTestConfig(nCentroids = 50, nSyn = 1500))
   }
 
-  private val instances: Map[String, () => (Seq[TableColumn], AutoTestConfig)] = Map(
-    "css-600-reseeded" -> (() => reseeded600),
-    "css-reference-seed42" -> (() => (Inputs.corpus(Inputs.ReferenceCols), Inputs.ReferenceConfig)),
-    "css-reference-seed43" -> (() => (Inputs.corpus(Inputs.ReferenceCols), Inputs.ReferenceConfig.copy(seed = 43))),
+  /** Each LP's corpus and training configuration, and its δ (None: CSS). */
+  private val instances: Map[String, (() => (Seq[TableColumn], AutoTestConfig), Option[Double])] = Map(
+    "css-600-reseeded" -> ((() => reseeded600), None),
+    "css-reference-seed42" -> ((() => (Inputs.corpus(Inputs.ReferenceCols), Inputs.ReferenceConfig)), None),
+    "css-reference-seed43" -> ((() => (Inputs.corpus(Inputs.ReferenceCols), Inputs.ReferenceConfig.copy(seed = 43))), None),
+    "css-perfbench" -> ((() => (Inputs.corpus(), Inputs.Config)), None),
+    "fss-perfbench" -> ((() => (Inputs.corpus(), Inputs.Config)), Some(Inputs.Config.delta)),
   )
 
   /** R_all and the C_syn detections, as `AutoTest.train` computes them
@@ -58,10 +64,11 @@ object CssLpDump {
   def main(args: Array[String]): Unit = {
     val names = if (args.isEmpty) instances.keys.toSeq.sorted else args.toSeq
     names.foreach { name =>
-      val (corpus, cfg) = instances(name)()
+      val (inputs, delta) = instances(name)
+      val (corpus, cfg) = inputs()
       val (assessed, detections) = recall(corpus, cfg)
       val lp = SetSelection.lp(assessed, detections,
-        SelectionConfig(cfg.bSize, cfg.bFpr, None, cfg.maxLpCandidates, seed = cfg.seed)).get
+        SelectionConfig(cfg.bSize, cfg.bFpr, delta, cfg.maxLpCandidates, seed = cfg.seed)).get
       val path = Paths.get("src", "test", "resources", "lp", s"$name.lp.gz")
       LpInstance.write(lp, path)
       println(s"$name: n=${lp.n} (${lp.c.count(_ == 0.0)} candidates), m=${lp.m} rows, " +

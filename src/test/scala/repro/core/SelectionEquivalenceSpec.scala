@@ -5,6 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Assessment.{AssessedCandidate, ContingencyCounts}
 import repro.core.Selection.{SelectionConfig, SelectionResult}
+import repro.util.Det
 
 import scala.collection.immutable.HashMap
 
@@ -83,6 +84,34 @@ object SelectionEquivalenceSpec {
     new scala.util.Random(order).shuffle(pairs), ks.size,
     SelectionConfig(bSize = bSize, bFpr = 0.1, delta = delta, seed = seed))
 
+  /** Coverage instances whose LP optimum is mostly integral: most
+    * candidates have an FPR of exactly 0, so the LP sets them to 0 or 1,
+    * and a few have a positive one that a tight FPR or size budget makes
+    * fractional. The rounding then draws for a few x_i and adds what they
+    * cover to what the x_i = 1 picks cover.
+    */
+  val genRoundingCase: Gen[Case] = for {
+    nCand  <- Gen.choose(8, 40)
+    cands  <- Gen.listOfN(nCand, Gen.zip(
+                Gen.frequency(4 -> Gen.const(0.0), 1 -> Gen.choose(0.01, 0.3)), genConf))
+    nSets  <- Gen.choose(4, 30)
+    pool   <- Gen.listOfN(nSets, Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nCand - 1)).map(_.take(4)))
+    nSyn   <- Gen.choose(10, 120)
+    ks     <- Gen.listOfN(nSyn, Gen.oneOf(pool))
+    delta  <- Gen.oneOf(None, Some(1e-3))
+    bSize  <- Gen.frequency(1 -> Gen.oneOf(4, 8), 3 -> Gen.const(500))
+    bFpr   <- Gen.oneOf(0.01, 0.05, 0.1, 0.3)
+    seed   <- Gen.choose(0L, 1000L)
+  } yield Case(cands.zipWithIndex.map { case ((f, c), i) => cand(i, f, c) }.toIndexedSeq,
+    ks.zipWithIndex.flatMap { case (k, s) => k.toSeq.map(c => (s, c)) }, nSyn,
+    SelectionConfig(bSize = bSize, bFpr = bFpr, delta = delta, seed = seed))
+
+  /** The x part of the LP optimum `SetSelection` solves for `c`. */
+  def lpX(c: Case): Array[Double] = SetSelection.lp(c.candidates, c.detections, c.cfg) match {
+    case None => Array.empty
+    case Some(lp) => val x = lp.solve().x; lp.c.indices.filter(lp.c(_) == 0.0).map(x(_)).toArray
+  }
+
   /** Equal results, with the objectives compared bit for bit. */
   def same(a: SelectionResult, b: SelectionResult): Boolean =
     a == b &&
@@ -140,6 +169,38 @@ class SelectionEquivalenceSpec extends AnyFunSuite {
       val got = Selection.select(cands, dets, 4, cfg)
       assert(same(got, SetSelection.select(cands, dets, 4, cfg)), s"$cfg: $got")
     }
+  }
+
+  test("rounding over mostly integral optima selects what the verbatim rounding selects") {
+    val prop = Prop.forAll(genRoundingCase) { c =>
+      val got = Selection.select(c.candidates, c.detections, c.nSyn, c.cfg)
+      val want = SetSelection.select(c.candidates, c.detections, c.nSyn, c.cfg)
+      Prop(same(got, want)) :| s"got $got\nwant $want"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(37L)), prop)
+    assert(result.passed, result.status)
+    // The instances are what they claim: most x_i integral, some fractional.
+    val xs = (0L until 200L).map(k => lpX(genRoundingCase.pureApply(Gen.Parameters.default, Seed(k))))
+    val fractional = xs.map(_.count(x => x > 0.0 && x < 1.0))
+    assert(fractional.count(_ > 0) >= 40, fractional)
+    assert(xs.map(_.length).sum >= 5 * fractional.sum, fractional)
+  }
+
+  test("when every rounding trial breaks a budget, the fall-back picks as the verbatim rounding does") {
+    // Candidate 0 (FPR 0.06) detects 5 synthetic columns and candidate 1
+    // (FPR 0.04 + 2e-10) 3 more, with B_FPR 0.1: the optimum has x_0 = 1 and
+    // x_1 just below 1, so every trial draws candidate 1 and breaks the FPR
+    // budget, and the fall-back keeps candidate 0 alone.
+    val cands = IndexedSeq(cand(0, 0.06, 0.9), cand(1, 0.04 + 2e-10, 0.9))
+    val dets = (0 until 5).map(_ -> 0) ++ (5 until 8).map(_ -> 1)
+    val cfg = SelectionConfig(bSize = 500, bFpr = 0.1, seed = 7)
+    val x = lpX(Case(cands, dets, 8, cfg))
+    assert(x(0) == 1.0 && x(1) > 0.0 && x(1) < 1.0, x.toSeq)
+    assert((0 until Selection.RoundingTrials).forall(t => Det.uniform(Det.combine(cfg.seed, t.toLong, 1L)) < x(1)))
+    val got = Selection.select(cands, dets, 8, cfg)
+    assert(same(got, SetSelection.select(cands, dets, 8, cfg)), got)
+    assert(got.selected == IndexedSeq(cands(0)) && got.roundedObjective == 5.0, got)
   }
 
   test("IdSet hashes a sorted distinct id array as Set[Int] does") {

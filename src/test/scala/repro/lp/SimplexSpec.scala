@@ -3,6 +3,7 @@ package repro.lp
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.perfbench.Recorded
 
 import scala.util.{Failure, Success, Try}
 
@@ -90,6 +91,33 @@ object SimplexSpec {
       case Failure(_) => false
     }
     Prop(ok) :| s"$lp\nmaxIter $k, unlimited: ${full.iterations} iterations"
+  }
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
+  /** None when `Simplex` takes `ReferenceSimplex`'s pivots: the same
+    * iterations and bits of the objective and of every x_j, or the same
+    * exception class and message; otherwise both outcomes.
+    */
+  def pivotMismatch(lp: LpInstance, maxIter: Int = 200000): Option[String] = {
+    val got = Try(lp.solve(maxIter))
+    val want = Try(ReferenceSimplex.maximize(lp.c, lp.rows, lp.b, lp.upper, maxIter))
+    val same = (got, want) match {
+      case (Success(g), Success(w)) =>
+        g.iterations == w.iterations && bits(g.objective) == bits(w.objective) && g.x.map(bits).sameElements(w.x.map(bits))
+      case (Failure(g), Failure(w)) => g.getClass == w.getClass && g.getMessage == w.getMessage
+      case _ => false
+    }
+    // The first x_j whose bits differ, if both solved.
+    val j = (for (g <- got; w <- want) yield g.x.indices.find(j => bits(g.x(j)) != bits(w.x(j)))).toOption.flatten
+    def show(t: Try[Simplex.Result]) =
+      t.map(r => s"${r.iterations} iterations, objective ${r.objective}" + j.fold("")(j => s", x_$j = ${r.x(j)}"))
+    if (same) None else Some(s"simplex ${show(got)}; reference ${show(want)}")
+  }
+
+  def samePivots(lp: LpInstance, maxIter: Int = 200000): Prop = {
+    val mismatch = pivotMismatch(lp, maxIter)
+    Prop(mismatch.isEmpty) :| s"$lp\n${mismatch.getOrElse("")}"
   }
 
   def check(prop: Prop, seed: Long): Check.Result =
@@ -230,14 +258,18 @@ class SimplexSpec extends AnyFunSuite {
     assert(approx(r.objective, 2.0))
   }
 
-  // CSS LPs written by `repro.core.CssLpDump`, with their certified optima.
-  // The explicit-bound solver diverged on the first, and on the reference
-  // ones returned points that break rows (seed 42: x_32 = 1.000139).
+  // Selection LPs written by `repro.core.CssLpDump`, with their certified
+  // optima and iteration counts. The explicit-bound solver diverged on the
+  // first, and on the reference ones returned points that break rows (seed
+  // 42: x_32 = 1.000139). The perfbench LPs' optima are those `Recorded`
+  // checks; a solver that pivots differently would move its digests.
   Seq(
-    "css-600-reseeded" -> 962.1476510067114,
-    "css-reference-seed42" -> 2104.8827838809084,
-    "css-reference-seed43" -> 2199.3408304498266,
-  ).foreach { case (name, optimum) =>
+    ("css-600-reseeded", 962.1476510067114, 1597),
+    ("css-reference-seed42", 2104.8827838809084, 3032),
+    ("css-reference-seed43", 2199.3408304498266, 5539),
+    ("css-perfbench", Recorded.Expected.cssObjective, 466),
+    ("fss-perfbench", Recorded.Expected.fssObjective, 293),
+  ).foreach { case (name, optimum, iterations) =>
     test(s"dumped LP $name certifies within seconds") {
       val lp = LpInstance.resource(name)
       val t0 = System.nanoTime()
@@ -246,6 +278,11 @@ class SimplexSpec extends AnyFunSuite {
       assert(seconds < 30.0, s"$seconds s")
       assert(lp.worstViolation(r.x) <= 1e-9)
       assert(close(r.objective, optimum), s"objective ${r.objective}, recorded $optimum")
+      assert(r.iterations == iterations)
+    }
+
+    test(s"dumped LP $name takes ReferenceSimplex's pivots") {
+      pivotMismatch(LpInstance.resource(name)).foreach(fail(_))
     }
   }
 
@@ -266,6 +303,26 @@ class SimplexSpec extends AnyFunSuite {
 
   test("maxIter: the unlimited result, or a throw naming the cap") {
     val r = check(Prop.forAll(genCssLp, Gen.choose(0, 6))(capped), 41L)
+    assert(r.passed, r.status)
+  }
+
+  test("CSS-shaped LPs take ReferenceSimplex's pivots") {
+    val r = check(Prop.forAll(genCssLp)(samePivots(_)), 47L)
+    assert(r.passed, r.status)
+  }
+
+  test("general LPs take ReferenceSimplex's pivots or throw as it does") {
+    val r = check(Prop.forAll(genLp)(samePivots(_)), 53L)
+    assert(r.passed, r.status)
+  }
+
+  test("LPs with upper bounds take ReferenceSimplex's pivots or throw as it does") {
+    val r = check(Prop.forAll(genBoundedLp)(samePivots(_)), 59L)
+    assert(r.passed, r.status)
+  }
+
+  test("under maxIter, the pivots and the throw of ReferenceSimplex") {
+    val r = check(Prop.forAll(genCssLp, Gen.choose(0, 6))(samePivots), 61L)
     assert(r.passed, r.status)
   }
 }
