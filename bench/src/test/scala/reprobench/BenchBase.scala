@@ -1,13 +1,13 @@
 package reprobench
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for the per-table bench suites: prints the rendered table and
   * persists it under bench/results/ so EXPERIMENTS.md can diff paper vs
-  * measured numbers.
+  * measured numbers. Only Table 3's suite mixes in a SparkSession.
   */
-trait BenchBase extends SparkSpec {
+trait BenchBase extends AnyFunSuite {
 
   def emit(name: String, rendered: String): Unit = {
     println("\n" + rendered + "\n")

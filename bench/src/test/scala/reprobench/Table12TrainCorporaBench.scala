@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table12TrainCorporaBench extends BenchBase {
 
-  private lazy val result = Tables.runTable12(spark)
+  private lazy val result = Tables.runTable12()
 
   test("Table 12 renders and persists") {
     emit("table12", result.rendered)

@@ -1,9 +1,10 @@
 package reprobench
 
+import repro.SparkSpec
 import repro.experiments.{Experiments, Tables}
 
-/** Reproduces paper Table 3: training-corpora statistics. */
-class Table3CorporaStatsBench extends BenchBase {
+/** Reproduces paper Table 3: training-corpora statistics, computed in Spark. */
+class Table3CorporaStatsBench extends BenchBase with SparkSpec {
 
   private lazy val result = Tables.runTable3(spark)
 

@@ -8,7 +8,7 @@ import repro.experiments.Tables
   */
 class Table4QualityBench extends BenchBase {
 
-  private lazy val result = Tables.runTable4(spark)
+  private lazy val result = Tables.runTable4()
 
   private def auc(method: String, bench: String, setting: String = "real"): Double =
     result.scores((method, bench, setting))._2

@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table5SizeBudgetBench extends BenchBase {
 
-  private lazy val result = Tables.runTable5(spark)
+  private lazy val result = Tables.runTable5()
 
   test("Table 5 renders and persists") {
     emit("table5", result.rendered)

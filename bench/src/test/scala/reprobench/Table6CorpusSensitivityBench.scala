@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table6CorpusSensitivityBench extends BenchBase {
 
-  private lazy val result = Tables.runTable6(spark)
+  private lazy val result = Tables.runTable6()
 
   test("Table 6 renders and persists") {
     emit("table6", result.rendered)

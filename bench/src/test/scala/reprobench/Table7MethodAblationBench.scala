@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table7MethodAblationBench extends BenchBase {
 
-  private lazy val result = Tables.runTable7(spark)
+  private lazy val result = Tables.runTable7()
 
   test("Table 7 renders and persists") {
     emit("table7", result.rendered)

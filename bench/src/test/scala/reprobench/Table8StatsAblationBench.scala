@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table8StatsAblationBench extends BenchBase {
 
-  private lazy val Tables.Table8Result(result, ruleCounts) = Tables.runTable8(spark)
+  private lazy val Tables.Table8Result(result, ruleCounts) = Tables.runTable8()
 
   test("Table 8 renders and persists") {
     emit("table8", result.rendered)

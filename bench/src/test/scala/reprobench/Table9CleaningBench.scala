@@ -7,7 +7,7 @@ import repro.experiments.Tables
   */
 class Table9CleaningBench extends BenchBase {
 
-  private lazy val result = Tables.runTable9(spark)
+  private lazy val result = Tables.runTable9()
 
   test("Table 9 renders and persists") {
     emit("table9", result.rendered)

@@ -110,7 +110,14 @@ object AutoTest {
       .toSeq
   }
 
-  def train(spark: SparkSession, corpus: Seq[TableColumn], cfg: AutoTestConfig = AutoTestConfig()): TrainedModel = {
+  /** `train(corpus, cfg)`, kept because the benchmark harness compiles
+    * against this signature; `spark` is unused. ROADMAP item 2 deletes it
+    * when the harness moves to `train(corpus, cfg)`.
+    */
+  def train(spark: SparkSession, corpus: Seq[TableColumn], cfg: AutoTestConfig): TrainedModel = train(corpus, cfg)
+
+  /** Trains on `corpus` on the driver; no Spark job runs. */
+  def train(corpus: Seq[TableColumn], cfg: AutoTestConfig = AutoTestConfig()): TrainedModel = {
     require(corpus.size >= 2, s"training needs at least 2 corpus columns for C_syn, got ${corpus.size}")
     def timed[T](f: => T): (T, Double) = {
       val t0 = System.nanoTime()
@@ -121,8 +128,7 @@ object AutoTest {
     // ---- candidate generation + statistical assessment -------------------
     // One code per (evaluator, distinct corpus value), shared by the
     // contingency pass and the C_syn detections: every C_syn value is a
-    // corpus value. Training runs no Spark job: `spark` is kept for the
-    // callers' signature.
+    // corpus value.
     val ((assessed0, plans, registry, codes, counts), tCand) = timed {
       val centroids = sampleCentroids(corpus, cfg.nCentroids, cfg.seed)
       val patterns = Patterns.mine(ColumnStore.rows(corpus), topK = cfg.nPatterns)

@@ -24,8 +24,8 @@ final case class Prediction(colId: String, value: String, confidence: Double)
   * factory the corpus passes use ([[ColumnProfile.fromCodes]]), so every
   * pre-condition is an O(1) lookup however many SDCs share it (the
   * Appendix B.2 dedup).
-  * [[predictColumn]], [[explainColumn]] and, per column,
-  * [[Predictor.predict]] all run this one pass.
+  * [[predictColumn]], [[explainColumn]] and, per column, [[predictions]]
+  * all run this one pass.
   */
 final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
 
@@ -139,6 +139,13 @@ final class SdcModel(val sdcs: IndexedSeq[Sdc], registry: EvalRegistry) {
   /** Predict errors in one column: flagged value -> max confidence. */
   def predictColumn(values: Seq[String]): Map[String, Double] = decideColumn(values, _ => ())
 
+  /** Batch prediction: [[predictColumn]] on each column, in parallel
+    * ([[Par]]), on the driver. The predictions come in column order, each
+    * column's in the order `predictColumn` returns them.
+    */
+  def predictions(cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+    Par.flatMapInOrder(cols)(c => predictColumn(c.values).map { case (v, conf) => Prediction(c.colId, v, conf) })
+
   /** [[predictColumn]] together with the SDCs whose pre-condition holds on
     * the column (the "covered by" relation of Sec 5.2, in kernel order), from
     * one pass: Table 9 reports both.
@@ -158,11 +165,10 @@ object SdcModel {
 
 object Predictor {
 
-  /** Batch prediction: [[SdcModel.predictColumn]] on each column, in
-    * parallel ([[Par]]). The predictions come in column order, each column's
-    * in the order `predictColumn` returns them. No Spark job runs: `spark` is
-    * kept for the callers' signature.
+  /** `model.predictions(cols)`, kept because the benchmark harness compiles
+    * against this signature; `spark` is unused. ROADMAP item 2 deletes it
+    * when the harness moves to [[SdcModel.predictions]].
     */
   def predict(spark: SparkSession, model: SdcModel, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
-    Par.flatMapInOrder(cols)(c => model.predictColumn(c.values).map { case (v, conf) => Prediction(c.colId, v, conf) })
+    model.predictions(cols)
 }

@@ -33,12 +33,15 @@ object Validators {
   def validateNumber(raw: String): Boolean = number(DomainEval.normalize(raw))
   def validatePhone(raw: String): Boolean = phone(DomainEval.normalize(raw))
 
-  // The validators of normalized values. Before running its matcher, each
-  // rejects only values that its pattern cannot match: a first char that the
-  // pattern cannot start with (`\d` is [0-9], not Char.isDigit), a url
-  // without "http", an email without '@'.
+  // The validators of normalized values. A digit is ASCII [0-9] in all of
+  // them, as `\d` is, not Char.isDigit: `toInt` would read other scripts'
+  // digits. Before running its matcher, each rejects only values that its
+  // pattern cannot match: a first char that the pattern cannot start with,
+  // a url without "http", an email without '@'.
 
-  private def startsWithDigit(v: String): Boolean = v.nonEmpty && v.charAt(0) >= '0' && v.charAt(0) <= '9'
+  private def isDigit(c: Char): Boolean = c >= '0' && c <= '9'
+
+  private def startsWithDigit(v: String): Boolean = v.nonEmpty && isDigit(v.charAt(0))
 
   private def date(v: String): Boolean = {
     def ok(y: Int, m: Int, d: Int): Boolean = {
@@ -67,14 +70,14 @@ object Validators {
   private def ip(v: String): Boolean = {
     val parts = v.split("\\.", -1)
     parts.length == 4 && parts.forall { p =>
-      p.nonEmpty && p.length <= 3 && p.forall(_.isDigit) && p.toInt <= 255 &&
+      p.nonEmpty && p.length <= 3 && p.forall(isDigit) && p.toInt <= 255 &&
         !(p.length > 1 && p.startsWith("0"))
     }
   }
 
   private def creditCard(v: String): Boolean = {
     val digits = CardSep.matcher(v).replaceAll("")
-    if (digits.length < 13 || digits.length > 19 || !digits.forall(_.isDigit)) return false
+    if (digits.length < 13 || digits.length > 19 || !digits.forall(isDigit)) return false
     var sum = 0
     var double = false
     var i = digits.length - 1

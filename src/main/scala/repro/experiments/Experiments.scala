@@ -2,10 +2,9 @@ package repro.experiments
 
 import java.util.Locale
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.AutoTest.TrainedModel
-import repro.core.{AutoTest, Prediction, Predictor, SdcModel}
+import repro.core.{AutoTest, Prediction, SdcModel}
 import repro.corpus.{BenchGen, CorpusGen, TableColumn}
 import repro.dists.EvalRegistry
 import repro.eval.PrCurve
@@ -69,11 +68,11 @@ object Experiments {
   // ----------------------------------------------------------------- models
 
   private val modelCache = scala.collection.concurrent.TrieMap.empty[String, TrainedModel]
-  def trained(spark: SparkSession, corpusName: String): TrainedModel =
+  def trained(corpusName: String): TrainedModel =
     modelCache.getOrElseUpdate(corpusName, {
       Console.err.println(s"[experiments] training Auto-Test on $corpusName ($CorpusCols cols)...")
       val t0 = System.nanoTime()
-      val m = AutoTest.train(spark, corpus(corpusName), trainConfig)
+      val m = AutoTest.train(corpus(corpusName), trainConfig)
       Console.err.println("[experiments] trained on %s in %.1f s: |R_all|=%d |coarse|=%d |fine|=%d".formatLocal(Locale.ROOT,
         corpusName, (System.nanoTime() - t0) / 1e9, m.assessed.size, m.coarse.selected.size, m.fine.selected.size))
       m
@@ -89,14 +88,14 @@ object Experiments {
     def name: String
     /** Scored on the real-error setting only. */
     def realOnly: Boolean = false
-    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction]
+    def predictions(cols: Seq[TableColumn]): IndexedSeq[Prediction]
   }
 
   /** An Auto-Test variant: one SDC set of a trained model. */
   final case class Variant(name: String, model: TrainedModel => SdcModel) extends Method {
     def group: String = "Ours"
-    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
-      Predictor.predict(spark, model(trained(spark, "relational-tables")), cols)
+    def predictions(cols: Seq[TableColumn]): IndexedSeq[Prediction] =
+      model(trained("relational-tables")).predictions(cols)
   }
 
   val AllConstraints: Variant = Variant("All-Constraints", _.allConstraintsModel)
@@ -108,8 +107,7 @@ object Experiments {
   final class Baseline(val group: String, val name: String, build: => ErrorDetector,
                        override val realOnly: Boolean = false) extends Method {
     lazy val detector: ErrorDetector = build
-    def predictions(spark: SparkSession, cols: Seq[TableColumn]): IndexedSeq[Prediction] =
-      detector.predictions(cols)
+    def predictions(cols: Seq[TableColumn]): IndexedSeq[Prediction] = detector.predictions(cols)
   }
 
   /** Table 4's rows in order: the Auto-Test variants, then 20 baselines in

@@ -3,7 +3,7 @@ package repro.experiments
 import java.util.Locale
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Prediction, Predictor, SdcModel}
+import repro.core.{Prediction, SdcModel}
 import repro.corpus.{CleaningDatasets, ColumnStore, TableColumn}
 import repro.dists.DomainEval
 
@@ -34,9 +34,9 @@ object Tables {
                                   realOnly: Boolean = false)
 
   /** A row scored with `model`, built when the row is first scored. */
-  private def modelRow[K](spark: SparkSession, key: K, labels: String*)(model: => SdcModel): Row[K] = {
+  private def modelRow[K](key: K, labels: String*)(model: => SdcModel): Row[K] = {
     lazy val m = model
-    Row(key, labels, Predictor.predict(spark, m, _))
+    Row(key, labels, m.predictions(_))
   }
 
   /** Scores each row on each `grid` cell (the real-error cells only for a
@@ -81,8 +81,8 @@ object Tables {
   // ---------------------------------------------------------------- Table 4
 
   /** Keyed by (method, bench, setting). */
-  def runTable4(spark: SparkSession): Scored[String] = {
-    val rows = methods.map(m => Row(m.name, Seq(m.group, m.name), m.predictions(spark, _), m.realOnly))
+  def runTable4(): Scored[String] = {
+    val rows = methods.map(m => Row(m.name, Seq(m.group, m.name), m.predictions(_), m.realOnly))
     scoreGrid(
       "Table 4: quality comparisons (F1@P=0.8, PR-AUC) on ST-Bench and RT-Bench",
       Seq("Group", "Method") ++ GridHeader, Grid, rows)
@@ -94,15 +94,15 @@ object Tables {
                              rtF1: Double, rtAuc: Double, secPerCol: Double)
   final case class Table5Result(rows: Seq[Table5Row], rendered: String)
 
-  def runTable5(spark: SparkSession): Table5Result = {
-    val m = trained(spark, "relational-tables")
+  def runTable5(): Table5Result = {
+    val m = trained("relational-tables")
     val budgets = Seq(100, 200, 500, 1000)
     val variants: Seq[(String, SdcModel)] =
       budgets.map(b => b.toString -> new SdcModel(
         m.reselect(bSize = b, delta = Some(m.config.delta)).selected.map(_.sdc), m.registry)) :+
         (s"${AllConstraints.name} (${m.assessed.size})" -> m.allConstraintsModel)
     val quality = variants.map { case (_, model) =>
-      (score("st", "real")(Predictor.predict(spark, model, _)), score("rt", "real")(Predictor.predict(spark, model, _)))
+      (score("st", "real")(model.predictions), score("rt", "real")(model.predictions))
     }
     val latencies = latencyPerColumn(variants.map(_._2), stBench)
     val rows = variants.lazyZip(quality).lazyZip(latencies).map { case ((name, _), ((stF1, stAuc), (rtF1, rtAuc)), lat) =>
@@ -121,8 +121,8 @@ object Tables {
   // ---------------------------------------------------------------- Table 6
 
   /** Fine-Select, keyed by (training corpus, bench, setting). */
-  def runTable6(spark: SparkSession): Scored[String] = {
-    val rows = CorpusNames.map(c => modelRow(spark, c, c)(trained(spark, c).fineModel))
+  def runTable6(): Scored[String] = {
+    val rows = CorpusNames.map(c => modelRow(c, c)(trained(c).fineModel))
     scoreGrid(
       "Table 6: Fine-Select sensitivity to the training corpus",
       Seq("Training corpus") ++ GridHeader, Grid, rows)
@@ -131,8 +131,8 @@ object Tables {
   // ---------------------------------------------------------------- Table 7
 
   /** Keyed by (variant, bench, "real"). */
-  def runTable7(spark: SparkSession): Scored[String] = {
-    val m = trained(spark, "relational-tables")
+  def runTable7(): Scored[String] = {
+    val m = trained("relational-tables")
     val variants: Seq[(String, SdcModel)] = Seq(
       FineSelect.name -> m.fineModel) ++
       Seq(DomainEval.Cta -> "no-CTA", DomainEval.Embedding -> "no-embedding",
@@ -144,7 +144,7 @@ object Tables {
     scoreGrid(
       "Table 7: ablation — contribution of each column-type detection family (Fine-Select)",
       Seq("Variant", "ST-Bench", "RT-Bench"), RealGrid,
-      variants.map { case (label, model) => modelRow(spark, label, label)(model) })
+      variants.map { case (label, model) => modelRow(label, label)(model) })
   }
 
   // ---------------------------------------------------------------- Table 8
@@ -152,8 +152,8 @@ object Tables {
   /** Scores keyed by (variant, bench, "real"), and each variant's rule count. */
   final case class Table8Result(scored: Scored[String], ruleCounts: Map[String, Int])
 
-  def runTable8(spark: SparkSession): Table8Result = {
-    val m = trained(spark, "relational-tables")
+  def runTable8(): Table8Result = {
+    val m = trained("relational-tables")
     val base = m.config.assessConfig
     val variants: Seq[(String, SdcModel)] = Seq(
       AllConstraints.name -> m.allConstraintsModel,
@@ -165,7 +165,7 @@ object Tables {
     val scored = scoreGrid(
       "Table 8: ablation — Wilson score interval and Cohen's h (All-Constraints)",
       Seq("Variant", "# rules", "ST-Bench", "RT-Bench"), RealGrid,
-      variants.map { case (l, model) => modelRow(spark, l, l, model.size.toString)(model) })
+      variants.map { case (l, model) => modelRow(l, l, model.size.toString)(model) })
     Table8Result(scored, variants.map { case (l, model) => l -> model.size }.toMap)
   }
 
@@ -189,8 +189,8 @@ object Tables {
       rendered: String,
   )
 
-  def runTable9(spark: SparkSession): Table9Result = {
-    val model = trained(spark, "relational-tables").fineModel
+  def runTable9(): Table9Result = {
+    val model = trained("relational-tables").fineModel
     val listings10 = Seq.newBuilder[String]
     val listings11 = Seq.newBuilder[String]
     val perDataset = CleaningDatasets.datasetNames.map { ds =>
@@ -259,9 +259,9 @@ object Tables {
   // --------------------------------------------------------- Table 12 (App A)
 
   /** Keyed by ((training corpus, variant), bench, setting). */
-  def runTable12(spark: SparkSession): Scored[(String, String)] = {
+  def runTable12(): Scored[(String, String)] = {
     val rows = for (c <- Seq("relational-tables", "spreadsheet-tables"); v <- Variants)
-      yield modelRow(spark, (c, v.name), c, v.name)(v.model(trained(spark, c)))
+      yield modelRow((c, v.name), c, v.name)(v.model(trained(c)))
     scoreGrid(
       "Table 12 (Appendix A): algorithm performance by training corpus",
       Seq("Trained on", "Method") ++ GridHeader, Grid, rows)

@@ -4,9 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Where the program may use Spark, and that it reads no environment
   * variable but Spark's master. Spark does relational work for Table 3
-  * (`ColumnStore.toDf`) and runs the tables (`TableJob`); the other files
-  * below keep a `SparkSession` parameter or a DataFrame adapter that the
-  * benchmark harness calls (DESIGN §3, "Where Spark remains, and why").
+  * (`ColumnStore.toDf`, `Tables.runTable3`, run by `TableJob`); the other
+  * files below keep a `SparkSession` parameter or a DataFrame adapter that
+  * the benchmark harness calls (DESIGN §3, "Where Spark remains, and why").
   */
 class SparkImportsSpec extends AnyFunSuite {
 
@@ -18,7 +18,6 @@ class SparkImportsSpec extends AnyFunSuite {
     "src/main/scala/repro/core/SynCorpus.scala",
     "src/main/scala/repro/corpus/ColumnStore.scala",
     "src/main/scala/repro/dists/Patterns.scala",
-    "src/main/scala/repro/experiments/Experiments.scala",
     "src/main/scala/repro/experiments/Tables.scala")
 
   private def sources = ProgramSources.all
@@ -35,6 +34,14 @@ class SparkImportsSpec extends AnyFunSuite {
   test("baselines use no Spark, and dists only the DataFrame adapter") {
     assert(sparkLines("src/main/scala/repro/baselines/").isEmpty)
     assert(sparkLines("src/main/scala/repro/dists/").map(_._2).forall(_ == "import org.apache.spark.sql.DataFrame"))
+  }
+
+  test("of the table drivers, only runTable3 takes a SparkSession") {
+    val tables = sources.collectFirst { case ("src/main/scala/repro/experiments/Tables.scala", ls) => ls }
+      .getOrElse(fail("Tables.scala not found"))
+    val named = tables.map(_.trim).filter(_.contains("SparkSession"))
+    assert(named == Seq("import org.apache.spark.sql.SparkSession",
+      "def runTable3(spark: SparkSession): Table3Result = {"), named.mkString("; "))
   }
 
   test("no Spark internals, RDDs or serialization contract") {

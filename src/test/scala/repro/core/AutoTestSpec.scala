@@ -17,8 +17,8 @@ class AutoTestSpec extends SparkSpec {
     nCentroids = 100, nPatterns = 30, nSyn = 600, bSize = 300, bFpr = 0.1, seed = 11)
 
   private lazy val corpus = CorpusGen.generate(CorpusGen.relationalProfile(nCols = 1500))
-  private lazy val model = AutoTest.train(spark, corpus, cfg)
-  private lazy val noPat = AutoTest.train(spark, corpus.take(300),
+  private lazy val model = AutoTest.train(corpus, cfg)
+  private lazy val noPat = AutoTest.train(corpus.take(300),
     cfg.copy(nSyn = 150, dropFamilies = Set(repro.dists.DomainEval.Pattern)))
 
   /** Reference for `assessedPlans`: each enumerated plan's candidates that
@@ -42,12 +42,12 @@ class AutoTestSpec extends SparkSpec {
   }
 
   test("training rejects an empty corpus, naming the column count") {
-    val e = intercept[IllegalArgumentException](AutoTest.train(spark, Nil, cfg))
+    val e = intercept[IllegalArgumentException](AutoTest.train(Nil, cfg))
     assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 0"))
   }
 
   test("training rejects a one-column corpus, naming the column count") {
-    val e = intercept[IllegalArgumentException](AutoTest.train(spark, corpus.take(1), cfg))
+    val e = intercept[IllegalArgumentException](AutoTest.train(corpus.take(1), cfg))
     assert(e.getMessage.contains("at least 2 corpus columns") && e.getMessage.contains("got 1"))
   }
 
@@ -141,7 +141,7 @@ class AutoTestSpec extends SparkSpec {
 
   test("Fine-Select detects real errors on an unseen benchmark with high precision") {
     val bench = BenchGen.generate(BenchGen.stProfile(nCols = 400))
-    val preds = Predictor.predict(spark, model.fineModel, bench)
+    val preds = model.fineModel.predictions(bench)
     val r = PrCurve.evaluate(preds, bench)
     assert(r.nTrueErrors > 0)
     assert(r.nCorrect > 0, s"no true errors detected (preds=${r.nPredictions})")
@@ -154,7 +154,7 @@ class AutoTestSpec extends SparkSpec {
     val bench = BenchGen.generate(BenchGen.stProfile(nCols = 200))
     val all = model.allConstraintsModel
     assert(all.size > model.fineModel.size)
-    val preds = Predictor.predict(spark, all, bench)
+    val preds = all.predictions(bench)
     val r = PrCurve.evaluate(preds, bench)
     assert(r.nPredictions < bench.map(_.values.size).sum / 5,
       "All-Constraints should not flag a large fraction of all values")

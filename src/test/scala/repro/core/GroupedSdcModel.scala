@@ -117,7 +117,7 @@ object GroupedSdcModel {
   private final case class Rules(eval: DomainEval, edges: Array[Double], groups: IndexedSeq[Group])
 
   /** Batch prediction with this model's kernel, the reference for
-    * `Predictor.predict`: one [[ValueCodes]] pass at the model's evaluators
+    * `SdcModel.predictions`: one [[ValueCodes]] pass at the model's evaluators
     * and edges (passed as plans without candidates), then the columns
     * decided in column order.
     */

@@ -80,7 +80,7 @@ class PredictorBatchSpec extends SparkSpec {
       val want = single(model, cols)
       flagged += want.size
       cols.forall(c => model.predictColumn(c.values) == PerValueReference.predictColumn(sdcs, registry, c.values)) &&
-        Predictor.predict(spark, model, cols) == want
+        model.predictions(cols) == want
     }
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(5L)), prop)
     assert(result.passed, result.status)
@@ -89,10 +89,10 @@ class PredictorBatchSpec extends SparkSpec {
 
   test("an empty column list and a model with no SDCs predict nothing") {
     val model = new SdcModel(IndexedSeq(Sdc(fixedEval.id, 0.25, 1.0, 0.5, 0.9)), registry)
-    assert(Predictor.predict(spark, model, Nil).isEmpty)
+    assert(model.predictions(Nil).isEmpty)
     val cols = Seq(TableColumn("a", "d", Seq("x", null, ""), Nil, 3), TableColumn("b", "d", Nil, Nil, 0))
     val none = new SdcModel(IndexedSeq.empty, registry)
-    assert(Predictor.predict(spark, none, cols).isEmpty)
+    assert(none.predictions(cols).isEmpty)
     assert(cols.forall(c => none.predictColumn(c.values).isEmpty))
   }
 

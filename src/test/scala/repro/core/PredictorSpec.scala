@@ -1,10 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.TableColumn
 import repro.dists.{EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
 
-class PredictorSpec extends SparkSpec {
+class PredictorSpec extends AnyFunSuite {
 
   // Hand-built model mirroring Table 1's constraints.
   private val patUnit = new PatternEval("\\d+ [a-zA-Z]+")
@@ -89,7 +89,7 @@ class PredictorSpec extends SparkSpec {
       col("a", (1 to 19).map(j => s"$j oz") :+ "0.05%"),
       col("b", (1 to 12).map(j => s"$j/10/2020") :+ "nope"),
       col("c", Seq("alpha", "beta", "gamma", "delta", "epsilon")))
-    val batch = Predictor.predict(spark, model, cols).toSet
+    val batch = model.predictions(cols).toSet
     val local = cols.flatMap(c => predictLocal(model, c)).toSet
     assert(batch == local)
   }

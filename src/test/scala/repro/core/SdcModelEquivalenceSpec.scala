@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.TableColumn
 import repro.dists.{CtaClassifier, EmbeddingCentroidEval, EvalRegistry, FunctionEval, PatternEval}
 import repro.domains.Vocab
@@ -15,7 +15,7 @@ import repro.util.Det
   * which stops scoring an evaluator once none of its pre-conditions can
   * hold, gives what [[PerValueReference]] gives in any value order.
   */
-class SdcModelEquivalenceSpec extends SparkSpec {
+class SdcModelEquivalenceSpec extends AnyFunSuite {
 
   private val fixedEval = new HashedFixedEval
 
@@ -91,7 +91,7 @@ class SdcModelEquivalenceSpec extends SparkSpec {
           explained.flagged.toSeq == want &&
           explained.covering == ref.coveringSdcs(c.values)
       } &&
-      Predictor.predict(spark, model, cols) == GroupedSdcModel.predict(ref, cols)
+      model.predictions(cols) == GroupedSdcModel.predict(ref, cols)
     }
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(12L)), prop)
     assert(result.passed, result.status)

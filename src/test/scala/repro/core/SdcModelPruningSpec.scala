@@ -93,7 +93,7 @@ class SdcModelPruningSpec extends AnyFunSuite {
   test("batch prediction drops evaluators per column: three columns outside d_in cost 3 calls each") {
     val (m, eval) = model(0.9)
     val cols = (1 to 3).map(c => TableColumn(s"c$c", "d", (1 to 20).map(i => s"out$c-$i"), Nil, 20))
-    assert(Predictor.predict(null, m, cols).isEmpty)
+    assert(m.predictions(cols).isEmpty)
     assert(eval.calls.get == 9) // (20 - 3) / 20 = 0.85 < 0.9
   }
 

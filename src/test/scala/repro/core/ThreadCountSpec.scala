@@ -40,14 +40,14 @@ class ThreadCountSpec extends AnyFunSuite {
 
   /** Every output of one train, batch predict and baseline run, doubles as bits. */
   private def outputs(threads: Int): Map[String, Seq[Any]] = inPool(threads) {
-    val m = AutoTest.train(null, corpus, cfg)
+    val m = AutoTest.train(corpus, cfg)
     Map(
       "contingency counts" -> m.contingencyCounts.toSeq,
       "R_all" -> m.assessed.map(assessed),
       "detections" -> m.detections,
       "CSS selection" -> selection(m.coarse),
       "FSS selection" -> selection(m.fine),
-      "predictions" -> predictions(Predictor.predict(null, m.allConstraintsModel, bench)),
+      "predictions" -> predictions(m.allConstraintsModel.predictions(bench)),
       "baseline predictions" -> predictions(Baselines("Glove").predictions(bench)))
   }
 
@@ -69,7 +69,7 @@ class ThreadCountSpec extends AnyFunSuite {
   }
 
   test("single-column calls on one shared model are bit-equal to a sequential run at 1, 2, 3 and 7 threads") {
-    val m = AutoTest.train(null, corpus, cfg)
+    val m = AutoTest.train(corpus, cfg)
     val models = Seq(m.allConstraintsModel, m.fineModel)
     val cols = bench.map(_.values)
     assert(cols.exists(vs => m.fineModel.explainColumn(vs).covering.nonEmpty), "no column is covered")

@@ -48,14 +48,14 @@ object PerCallValidators {
     val v = DomainEval.normalize(raw)
     val parts = v.split("\\.", -1)
     parts.length == 4 && parts.forall { p =>
-      p.nonEmpty && p.length <= 3 && p.forall(_.isDigit) && p.toInt <= 255 &&
+      p.nonEmpty && p.length <= 3 && p.matches("[0-9]+") && p.toInt <= 255 &&
         !(p.length > 1 && p.startsWith("0"))
     }
   }
 
   def validateCreditCard(raw: String): Boolean = {
     val digits = DomainEval.normalize(raw).replaceAll("[ -]", "")
-    if (digits.length < 13 || digits.length > 19 || !digits.forall(_.isDigit)) return false
+    if (digits.length < 13 || digits.length > 19 || !digits.matches("[0-9]+")) return false
     var sum = 0
     var double = false
     var i = digits.length - 1

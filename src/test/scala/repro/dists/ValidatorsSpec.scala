@@ -41,6 +41,10 @@ class ValidatorsSpec extends AnyFunSuite {
   test("validateIp rejects octet 256") { assert(!Validators.validateIp("1.2.3.256")) }
   test("validateIp rejects 3 octets") { assert(!Validators.validateIp("1.2.3")) }
   test("validateIp rejects leading zero octet") { assert(!Validators.validateIp("01.2.3.4")) }
+  test("validateIp rejects Arabic-Indic digits, which parseInt would read as 192.168.1.1") {
+    assert(Validators.validateIp("192.168.1.1"))
+    assert(!Validators.validateIp("١٩٢.١٦٨.١.١"))
+  }
 
   // ----------------------------------------------------------- credit cards
   test("validateCreditCard accepts a known Luhn-valid number") {
@@ -57,6 +61,10 @@ class ValidatorsSpec extends AnyFunSuite {
   }
   test("validateCreditCard rejects letters") {
     assert(!Validators.validateCreditCard("4532a15112830366"))
+  }
+  test("validateCreditCard rejects full-width digits") {
+    assert(Validators.validateCreditCard("4111111111111111"))
+    assert(!Validators.validateCreditCard("４１１１１１１１１１１１１１１１"))
   }
 
   // ---------------------------------------------------------------- numbers

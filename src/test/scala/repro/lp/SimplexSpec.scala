@@ -50,6 +50,21 @@ object SimplexSpec {
                2 -> Gen.choose(0.0, 4.0)))
   } yield lp.copy(upper = upper.toArray)
 
+  /** `genCssLp` or `genBoundedLp` with each finite bound and right-hand
+    * side moved by k · 0.35e-9, k in -2..2. Ratio-test candidates then lie
+    * within the solver's `Eps` (1e-9) of each other without being equal,
+    * and a chain of them (r1 ≈ r2 ≈ r3 with r1 and r3 more than `Eps`
+    * apart) resolves by the order the candidates are visited.
+    */
+  val genNearTieLp: Gen[LpInstance] = for {
+    lp    <- Gen.oneOf(genCssLp, genBoundedLp)
+    du    <- Gen.listOfN(lp.n, Gen.choose(-2, 2))
+    db    <- Gen.listOfN(lp.m, Gen.choose(-2, 2))
+  } yield {
+    def nudge(v: Double, k: Int) = if (v.isInfinite) v else math.max(0.0, v + k * 0.35e-9)
+    lp.copy(upper = lp.upper.lazyZip(du).map(nudge), b = lp.b.lazyZip(db).map(nudge))
+  }
+
   def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(b))
 
   private def isUnbounded(t: Try[Simplex.Result]): Boolean = t match {
@@ -318,6 +333,11 @@ class SimplexSpec extends AnyFunSuite {
 
   test("LPs with upper bounds take ReferenceSimplex's pivots or throw as it does") {
     val r = check(Prop.forAll(genBoundedLp)(samePivots(_)), 59L)
+    assert(r.passed, r.status)
+  }
+
+  test("LPs with near-tied ratios take ReferenceSimplex's pivots or throw as it does") {
+    val r = check(Prop.forAll(genNearTieLp)(samePivots(_)), 67L)
     assert(r.passed, r.status)
   }
 
