@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.corpus.TableColumn
-import repro.dists.{DomainEval, Patterns, Validators}
+import repro.dists.{DomainEval, FunctionEval, Patterns}
 import repro.domains.Vocab
 import repro.util.Det
 
@@ -59,7 +59,7 @@ final class GptSim(val name: String, fpMult: Double, seed: Long) extends ErrorDe
       return Some((0.04 * fpMult, 0.6))
     if (GptSim.isTypoOfKnown(v)) return Some((0.80, 0.9)) // "did you mean ...?"
     // Machine-formatted values: GPT validates well-known formats.
-    if (Validators.all.exists(_._2(v))) {
+    if (FunctionEval.allEvals.exists(_.distance(v) == 0.0)) {
       return if (domFrac >= 0.8 && pat != dominant) Some((0.55, 0.9)) // format clash in column
              else Some((0.03 * fpMult, 0.6))
     }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.corpus.TableColumn
-import repro.dists.{DomainEval, FunctionEval, Patterns, SynthEmbedding}
+import repro.dists.{DomainEval, EvalBank, FunctionEval, Patterns, SynthEmbedding}
 import repro.linalg.LinAlg
 
 /** Column-type-detection baselines (paper Sec 6.2, first group): each method
@@ -31,14 +31,17 @@ object ZScoreBaselines {
   }
 
   /** Bank-of-evaluators detector: pick the best-fitting type for the column
-    * (minimum mean distance), then z-score its distance distribution.
+    * (minimum mean distance), then z-score its distance distribution. The
+    * column's distances come from one [[EvalBank]] over the bank, as in the
+    * SDC passes; the best type is the row with the least sum, summed left to
+    * right, the first such row on a tie.
     */
   final class BankZScore(val name: String, bank: IndexedSeq[DomainEval]) extends ErrorDetector {
+    private val evalBank = new EvalBank(bank)
     override def detect(col: TableColumn): Seq[(String, Double)] = {
       if (col.values.size < 3 || bank.isEmpty) return Seq.empty
-      val arr = col.values.toArray
-      val best = bank.minBy(e => arr.iterator.map(e.distance).sum)
-      detectWith(col.values, arr.map(best.distance))
+      val d = evalBank.distances(col.values.toArray)
+      detectWith(col.values, d.minBy(_.foldLeft(0.0)(_ + _)))
     }
   }
 

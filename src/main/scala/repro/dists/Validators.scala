@@ -6,9 +6,10 @@ import java.util.regex.Pattern
   *
   * Eight validation functions in the spirit of DataPrep / python-validators,
   * implemented for real (including Luhn's checksum for credit cards, real
-  * calendar bounds for dates). Each yields a 0/1 distance via Eq 4.
+  * calendar bounds for dates). Each yields a 0/1 distance via Eq 4, and is
+  * reached only as a [[FunctionEval]].
   */
-object Validators {
+private[dists] object Validators {
 
   // Each pattern is compiled once; the validators only run matchers on it.
   private val DateSlash = "^(\\d{1,2})/(\\d{1,2})/(\\d{2}|\\d{4})$".r
@@ -21,18 +22,6 @@ object Validators {
   private val Phone     = Pattern.compile("^(\\+?1[ .-]?)?(\\(\\d{3}\\)|\\d{3})[ .-]?\\d{3}[ .-]?\\d{4}$")
   private val MonthDays = Array(31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
-  /** M/d/yyyy, M/d/yy, or yyyy-MM-dd with real calendar bounds. */
-  def validateDate(raw: String): Boolean = date(DomainEval.normalize(raw))
-  def validateTime(raw: String): Boolean = time(DomainEval.normalize(raw))
-  def validateUrl(raw: String): Boolean = url(DomainEval.normalize(raw))
-  def validateEmail(raw: String): Boolean = email(DomainEval.normalize(raw))
-  def validateIp(raw: String): Boolean = ip(DomainEval.normalize(raw))
-
-  /** Luhn checksum over 13–19 digits (credit-card numbers, paper's [2]). */
-  def validateCreditCard(raw: String): Boolean = creditCard(DomainEval.normalize(raw))
-  def validateNumber(raw: String): Boolean = number(DomainEval.normalize(raw))
-  def validatePhone(raw: String): Boolean = phone(DomainEval.normalize(raw))
-
   // The validators of normalized values. A digit is ASCII [0-9] in all of
   // them, as `\d` is, not Char.isDigit: `toInt` would read other scripts'
   // digits. Before running its matcher, each rejects only values that its
@@ -43,6 +32,7 @@ object Validators {
 
   private def startsWithDigit(v: String): Boolean = v.nonEmpty && isDigit(v.charAt(0))
 
+  /** M/d/yyyy, M/d/yy, or yyyy-MM-dd with real calendar bounds. */
   private def date(v: String): Boolean = {
     def ok(y: Int, m: Int, d: Int): Boolean = {
       if (m < 1 || m > 12 || d < 1) return false
@@ -75,6 +65,7 @@ object Validators {
     }
   }
 
+  /** Luhn checksum over 13–19 digits (credit-card numbers, paper's [2]). */
   private def creditCard(v: String): Boolean = {
     val digits = CardSep.matcher(v).replaceAll("")
     if (digits.length < 13 || digits.length > 19 || !digits.forall(isDigit)) return false
@@ -112,10 +103,6 @@ object Validators {
     "validate_number"      -> number _,
     "validate_phone"       -> phone _,
   )
-
-  /** The 8 validation functions on raw values. */
-  val all: IndexedSeq[(String, String => Boolean)] =
-    onNormalized.map { case (n, f) => n -> ((raw: String) => f(DomainEval.normalize(raw))) }
 }
 
 /** 0/1 distance from a validation function (Eq 4). `onNormalized` takes
@@ -130,6 +117,11 @@ final class FunctionEval private (name: String, onNormalized: String => Boolean)
 }
 
 object FunctionEval {
-  def allEvals: IndexedSeq[FunctionEval] =
+
+  /** The 8 validation functions as evaluators, in registry order: the one
+    * way to a validator, read by the registry, the DataPrep and Validators
+    * baselines and GPT-sim's format check.
+    */
+  val allEvals: IndexedSeq[FunctionEval] =
     Validators.onNormalized.map { case (n, f) => new FunctionEval(n, f) }
 }

@@ -140,10 +140,6 @@ object Experiments {
       group("Commercial")(new Vendors.VendorA, new Vendors.VendorB)
   }
 
-  /** The Table 4 method named `name`. */
-  def method(name: String): Method =
-    methods.find(_.name == name).getOrElse(throw new IllegalArgumentException(s"unknown method '$name'"))
-
   /** (F1@P=0.8, PR-AUC) of a method's predictions on one bench/setting. */
   def score(benchName: String, setting: String)(
       predict: Seq[TableColumn] => IndexedSeq[Prediction]): (Double, Double) = {

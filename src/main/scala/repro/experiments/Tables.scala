@@ -176,7 +176,8 @@ object Tables {
       nCols: Int,
       nCoveredByGt: Int,
       nCoveredBySdc: Int,
-      columnPrecision: Option[Double],
+      /** Covered columns on which the applied SDCs flag no valid value. */
+      nCoveredCorrect: Int,
       cellDetections: Int,
       cellStrictCorrect: Int,
       cellAdjustedCorrect: Int,
@@ -191,62 +192,48 @@ object Tables {
 
   def runTable9(): Table9Result = {
     val model = trained("relational-tables").fineModel
-    val listings10 = Seq.newBuilder[String]
-    val listings11 = Seq.newBuilder[String]
-    val perDataset = CleaningDatasets.datasetNames.map { ds =>
-      val cols = CleaningDatasets.dataset(ds)
-      var covered = 0
-      var coveredCorrect = 0
-      var det = 0; var strict = 0; var adjusted = 0
-      cols.foreach { c =>
-        val SdcModel.Explanation(covering, preds) = model.explainColumn(c.values)
-        if (covering.nonEmpty) {
-          covered += 1
-          // column-level judgement: an applied SDC is correct when it flags
-          // no valid value on this column (predictions ⊆ real errors)
-          val fps = preds.keySet -- c.allErrors
-          if (fps.isEmpty) coveredCorrect += 1
-          val best = covering.maxBy(_.confidence)
-          listings10 += "%-9s %-20s SDC(%s, dIn=%.2f, dOut=%.2f, m=%.2f, conf=%.2f)".formatLocal(Locale.ROOT,
-            ds, c.column, best.evalId, best.dIn, best.dOut, best.m, best.confidence) +
-            (if (c.coveredByExistingGt) "" : String else "  [no existing constraint]")
-        }
-        det += preds.size
-        strict += preds.keySet.count(c.knownErrors.contains)
-        adjusted += preds.keySet.count(c.allErrors.contains)
-        val newlyFound = preds.keySet.intersect(c.missedErrors)
-        newlyFound.foreach { v =>
-          listings11 += "%-9s %-20s '%s' (error missed by existing ground truth)".formatLocal(Locale.ROOT,
-            ds, c.column, v)
-        }
-      }
-      Table9Dataset(ds, cols.size, cols.count(_.coveredByExistingGt), covered,
-        if (covered == 0) None else Some(coveredCorrect.toDouble / covered),
-        det, strict, adjusted)
+    // Every cleaning column with its one explanation, dataset by dataset.
+    val explained = CleaningDatasets.datasetNames.map { ds =>
+      ds -> CleaningDatasets.dataset(ds).map(c => (c, model.explainColumn(c.values)))
     }
-    val tot = perDataset
+    val perDataset = explained.map { case (ds, cols) =>
+      val covered = cols.filter(_._2.covering.nonEmpty)
+      Table9Dataset(ds, cols.size, cols.count(_._1.coveredByExistingGt), covered.size,
+        // column-level judgement: an applied SDC is correct when it flags
+        // no valid value on this column (predictions ⊆ real errors)
+        covered.count { case (c, e) => e.flagged.keySet.subsetOf(c.allErrors) },
+        cols.map(_._2.flagged.size).sum,
+        cols.map { case (c, e) => e.flagged.keySet.count(c.knownErrors.contains) }.sum,
+        cols.map { case (c, e) => e.flagged.keySet.count(c.allErrors.contains) }.sum)
+    }
+    val t10 = for ((ds, cols) <- explained; (c, e) <- cols if e.covering.nonEmpty) yield {
+      val best = e.covering.maxBy(_.confidence)
+      "%-9s %-20s SDC(%s, dIn=%.2f, dOut=%.2f, m=%.2f, conf=%.2f)".formatLocal(Locale.ROOT,
+        ds, c.column, best.evalId, best.dIn, best.dOut, best.m, best.confidence) +
+        (if (c.coveredByExistingGt) "" else "  [no existing constraint]")
+    }
+    val t11 = for ((ds, cols) <- explained; (c, e) <- cols; v <- e.flagged.keySet.intersect(c.missedErrors))
+      yield "%-9s %-20s '%s' (error missed by existing ground truth)".formatLocal(Locale.ROOT, ds, c.column, v)
     val header = Seq("Metric", "9-dataset overall") ++ CleaningDatasets.datasetNames
     def row(name: String, f: Table9Dataset => String, overall: String) =
-      Seq(name, overall) ++ tot.map(f)
-    val sumDet = tot.map(_.cellDetections).sum
-    val sumStrict = tot.map(_.cellStrictCorrect).sum
-    val sumAdj = tot.map(_.cellAdjustedCorrect).sum
+      Seq(name, overall) ++ perDataset.map(f)
+    def sum(f: Table9Dataset => Int) = perDataset.map(f).sum
+    val sumDet = sum(_.cellDetections)
     def pct(x: Double) = fmt(x, 0) + "%"
     val rows = Seq(
-      row("# total categorical cols", _.nCols.toString, tot.map(_.nCols).sum.toString),
-      row("# cols covered by existing GT", _.nCoveredByGt.toString, tot.map(_.nCoveredByGt).sum.toString),
-      row("Coverage: # cols with new SDCs", _.nCoveredBySdc.toString, tot.map(_.nCoveredBySdc).sum.toString),
+      row("# total categorical cols", _.nCols.toString, sum(_.nCols).toString),
+      row("# cols covered by existing GT", _.nCoveredByGt.toString, sum(_.nCoveredByGt).toString),
+      row("Coverage: # cols with new SDCs", _.nCoveredBySdc.toString, sum(_.nCoveredBySdc).toString),
       row("Precision: % new SDCs correct",
-        d => d.columnPrecision.map(p => pct(p * 100)).getOrElse("-"),
-        pct(100.0 * tot.flatMap(d => d.columnPrecision.map(_ * d.nCoveredBySdc)).sum / math.max(1, tot.map(_.nCoveredBySdc).sum))),
+        d => if (d.nCoveredBySdc == 0) "-" else pct(d.nCoveredCorrect.toDouble / d.nCoveredBySdc * 100),
+        pct(100.0 * sum(_.nCoveredCorrect) / math.max(1, sum(_.nCoveredBySdc)))),
       row("True-positives: # detected errors", _.cellDetections.toString, sumDet.toString),
       row("Precision: % detections correct",
         d => if (d.cellDetections == 0) "-"
              else s"${pct(100.0 * d.cellStrictCorrect / d.cellDetections)} (${pct(100.0 * d.cellAdjustedCorrect / d.cellDetections)})",
-        if (sumDet == 0) "-" else s"${pct(100.0 * sumStrict / sumDet)} (${pct(100.0 * sumAdj / sumDet)})"),
+        if (sumDet == 0) "-"
+        else s"${pct(100.0 * sum(_.cellStrictCorrect) / sumDet)} (${pct(100.0 * sum(_.cellAdjustedCorrect) / sumDet)})"),
     )
-    val t10 = listings10.result()
-    val t11 = listings11.result()
     val rendered =
       "Table 9: SDCs applied to existing data-cleaning benchmarks\n" +
         table(header, rows) +

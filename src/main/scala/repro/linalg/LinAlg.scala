@@ -17,8 +17,6 @@ object LinAlg {
     s
   }
 
-  def norm2(a: Vec): Double = math.sqrt(dot(a, a))
-
   def sub(a: Vec, b: Vec): Vec = {
     require(a.length == b.length, "sub: dimension mismatch")
     Array.tabulate(a.length)(i => a(i) - b(i))
@@ -32,7 +30,7 @@ object LinAlg {
   }
 
   /** ‖a − b‖₂ without allocating: Σ(aᵢ − bᵢ)² left to right, then sqrt,
-    * which is bit-identical to `norm2(sub(a, b))`.
+    * which is bit-identical to `math.sqrt(dot(d, d))` for d = `sub(a, b)`.
     */
   def euclidean(a: Vec, b: Vec): Double = {
     require(a.length == b.length, "euclidean: dimension mismatch")

@@ -42,6 +42,15 @@ object OutlierDetectors {
     d
   }
 
+  /** The median of the distances d(i)(j), i < j, of a `pairwise` matrix;
+    * None with fewer than two points.
+    */
+  private def pairMedian(d: Array[Array[Double]]): Option[Double] = {
+    val n = d.length
+    val all = (for (i <- 0 until n; j <- i + 1 until n) yield d(i)(j)).toArray
+    if (all.isEmpty) None else Some(median(all))
+  }
+
   private def kthSmallest(row: Array[Double], self: Int, k: Int): Double = {
     val others = row.indices.filter(_ != self).map(row).sorted
     others(math.min(k - 1, others.length - 1))
@@ -81,8 +90,7 @@ object OutlierDetectors {
     override def scores(x: Array[Array[Double]], seed: Long): Array[Double] = {
       val n = x.length
       val d = pairwise(x)
-      val all = (for (i <- 0 until n; j <- i + 1 until n) yield d(i)(j)).toArray
-      val r = if (all.isEmpty) 0.0 else median(all) / 2.0
+      val r = pairMedian(d).fold(0.0)(_ / 2.0)
       Array.tabulate(n) { i =>
         1.0 - (0 until n).count(j => j != i && d(i)(j) <= r).toDouble / (n - 1)
       }
@@ -151,8 +159,7 @@ object OutlierDetectors {
     override def scores(x: Array[Array[Double]], seed: Long): Array[Double] = {
       val n = x.length
       val d = pairwise(x)
-      val all = (for (i <- 0 until n; j <- i + 1 until n) yield d(i)(j)).toArray
-      val h = math.max(if (all.isEmpty) 0.1 else median(all), 0.05)
+      val h = math.max(pairMedian(d).getOrElse(0.1), 0.05)
       def density(w: Array[Double], i: Int): Double = {
         var s = 0.0
         for (j <- 0 until n if j != i) s += w(j) * math.exp(-d(i)(j) * d(i)(j) / (2 * h * h))

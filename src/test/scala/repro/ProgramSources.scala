@@ -10,8 +10,15 @@ import scala.jdk.CollectionConverters._
   */
 object ProgramSources {
 
-  lazy val all: Seq[(String, Seq[String])] =
-    Seq("src/main/scala", "jobs").flatMap { dir =>
+  lazy val all: Seq[(String, Seq[String])] = read("src/main/scala", "jobs")
+
+  /** The program and the code outside the tests that calls it: the paper
+    * table suites (`bench/`) and the benchmark harness (`perfbench/src`).
+    */
+  lazy val withCallers: Seq[(String, Seq[String])] = all ++ read("bench/src", "perfbench/src")
+
+  private def read(dirs: String*): Seq[(String, Seq[String])] =
+    dirs.flatMap { dir =>
       val files = Files.walk(Paths.get(dir))
       try files.iterator.asScala.filter(_.toString.endsWith(".scala")).toList
       finally files.close()

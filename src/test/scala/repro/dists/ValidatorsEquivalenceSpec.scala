@@ -151,7 +151,7 @@ class ValidatorsEquivalenceSpec extends AnyFunSuite {
     Seq("validate_date", "validate_time", "validate_url", "validate_email", "validate_number", "validate_phone")
       .foreach(n => assert(sample.exists(PerCallValidators.byName(n)), n))
     val prop = Prop.forAll(genEdge) { v =>
-      Validators.all.forall { case (n, f) => f(v) == PerCallValidators.byName(n)(v) }
+      FunctionEval.allEvals.forall(e => (e.distance(v) == 0.0) == PerCallValidators.byName(e.id.stripPrefix("fun:"))(v))
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(23L)), prop)
@@ -159,9 +159,9 @@ class ValidatorsEquivalenceSpec extends AnyFunSuite {
   }
 
   test("each validator equals its per-call compiled expression on random and adversarial strings") {
-    assert(Validators.all.map(_._1).toSet == PerCallValidators.byName.keySet)
+    assert(FunctionEval.allEvals.map(_.id.stripPrefix("fun:")).toSet == PerCallValidators.byName.keySet)
     val prop = Prop.forAll(genValue) { v =>
-      Validators.all.forall { case (n, f) => f(v) == PerCallValidators.byName(n)(v) }
+      FunctionEval.allEvals.forall(e => (e.distance(v) == 0.0) == PerCallValidators.byName(e.id.stripPrefix("fun:"))(v))
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(17L)), prop)

@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.corpus.CorpusGen
-import repro.dists.Validators
+import repro.dists.ValidatorsSpec.accepts
 import repro.util.Det
 
 class VocabSpec extends AnyFunSuite {
@@ -70,35 +70,35 @@ class VocabSpec extends AnyFunSuite {
   test("genDate produces valid dates") {
     (0 until 300).foreach { i =>
       val d = Vocab.genDate(i.toLong)
-      assert(Validators.validateDate(d), d)
+      assert(accepts("date")(d), d)
     }
   }
 
   test("genIsoDate produces valid iso dates") {
-    (0 until 100).foreach(i => assert(Validators.validateDate(Vocab.genIsoDate(i.toLong))))
+    (0 until 100).foreach(i => assert(accepts("date")(Vocab.genIsoDate(i.toLong))))
   }
 
   test("genTime produces valid times") {
-    (0 until 100).foreach(i => assert(Validators.validateTime(Vocab.genTime(i.toLong))))
+    (0 until 100).foreach(i => assert(accepts("time")(Vocab.genTime(i.toLong))))
   }
 
   test("genUrl produces valid urls") {
-    (0 until 100).foreach(i => assert(Validators.validateUrl(Vocab.genUrl(i.toLong)), Vocab.genUrl(i.toLong)))
+    (0 until 100).foreach(i => assert(accepts("url")(Vocab.genUrl(i.toLong)), Vocab.genUrl(i.toLong)))
   }
 
   test("genEmail produces valid emails") {
-    (0 until 100).foreach(i => assert(Validators.validateEmail(Vocab.genEmail(i.toLong))))
+    (0 until 100).foreach(i => assert(accepts("email")(Vocab.genEmail(i.toLong))))
   }
 
   test("genIp produces valid ips") {
-    (0 until 100).foreach(i => assert(Validators.validateIp(Vocab.genIp(i.toLong)), Vocab.genIp(i.toLong)))
+    (0 until 100).foreach(i => assert(accepts("ip")(Vocab.genIp(i.toLong)), Vocab.genIp(i.toLong)))
   }
 
   test("genCreditCard passes Luhn validation") {
     (0 until 200).foreach { i =>
       val cc = Vocab.genCreditCard(i.toLong)
       assert(cc.length == 16 && cc.forall(_.isDigit), cc)
-      assert(Validators.validateCreditCard(cc), cc)
+      assert(accepts("credit_card")(cc), cc)
     }
   }
 
@@ -135,7 +135,7 @@ class VocabSpec extends AnyFunSuite {
   test("zip and phone shapes") {
     (0 until 50).foreach { i =>
       assert(Vocab.genZip(i.toLong).matches("\\d{5}"))
-      assert(Validators.validatePhone(Vocab.genPhone(i.toLong)), Vocab.genPhone(i.toLong))
+      assert(accepts("phone")(Vocab.genPhone(i.toLong)), Vocab.genPhone(i.toLong))
     }
   }
 

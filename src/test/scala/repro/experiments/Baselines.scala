@@ -6,10 +6,9 @@ import repro.baselines.ErrorDetector
 object Baselines {
 
   /** The detector of the baseline named `name`. */
-  def apply(name: String): ErrorDetector = Experiments.method(name) match {
-    case b: Experiments.Baseline => b.detector
-    case m                       => throw new IllegalArgumentException(s"${m.name} is not a baseline")
-  }
+  def apply(name: String): ErrorDetector =
+    Experiments.methods.collectFirst { case b: Experiments.Baseline if b.name == name => b.detector }
+      .getOrElse(throw new IllegalArgumentException(s"no baseline named '$name'"))
 
   /** The detectors of one Table 4 group, in row order. */
   def group(g: String): Seq[ErrorDetector] =

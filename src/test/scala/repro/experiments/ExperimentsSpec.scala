@@ -42,12 +42,7 @@ class ExperimentsSpec extends AnyFunSuite {
   test("looking up a method twice gives the same detector instance") {
     Seq("Sherlock", "Katara", "LOF", "GPT-finetuned", "Vendor-B")
       .foreach(n => assert(Baselines(n) eq Baselines(n), n))
-    assert(Experiments.method("Fine-Select") eq Experiments.FineSelect)
-  }
-
-  test("method() rejects an unknown name, naming it") {
-    val e = intercept[IllegalArgumentException](Experiments.method("nope"))
-    assert(e.getMessage.contains("'nope'"), e.getMessage)
+    assert(Experiments.methods.find(_.name == "Fine-Select").exists(_ eq Experiments.FineSelect))
   }
 
   test("benchSetting rejects an unknown bench or setting, naming the value") {
